@@ -74,8 +74,13 @@ torn write, truncation, or bit-flip into a typed
 :func:`checkpoint_manifest` exposes the byte layout those drills
 target.  Version-1 checkpoints (magic + one bare pickled document)
 are still read.  Pickle is what lets estimator specs (factory
-references, pattern objects) and rng states round-trip exactly; load
-checkpoints only from sources you trust, as with any pickle.  Writes
+references, pattern objects) and rng states round-trip exactly, but a
+restore never executes checkpoint bytes: payloads are read by a
+restricted unpickler whose allow-list names only the globals those
+documents contain (numpy arrays, graphs, patterns, estimator specs and
+the built-in estimator factories), so a doctored payload that names
+anything else — ``os.system``, ``builtins.eval`` — fails with a
+:class:`~repro.errors.CheckpointError` before it can run.  Writes
 are atomic and durable (same-directory tmp file + fsync + rename +
 directory fsync) and retried on transient I/O errors, so a crash or
 injected disk fault mid-snapshot never corrupts the previous
@@ -263,13 +268,59 @@ def _take(buffer: io.BytesIO, nbytes: int, path: str, what: str) -> bytes:
     return data
 
 
+#: Every global a checkpoint payload may name: the numpy array
+#: reconstructors, the classes inside estimator specs and states, and
+#: the built-in spec factories.  Both numpy module spellings are listed
+#: (``numpy.core`` before numpy 2, ``numpy._core`` after).
+_CHECKPOINT_GLOBALS = frozenset(
+    [
+        ("numpy", "dtype"),
+        ("numpy", "ndarray"),
+        ("repro.graph.graph", "Graph"),
+        ("repro.patterns.pattern", "Pattern"),
+        ("repro.patterns.decomposition", "Piece"),
+        ("repro.patterns.decomposition", "CycleStarDecomposition"),
+        ("repro.engine.parallel", "EstimatorSpec"),
+        ("repro.engine.parallel", "build_triest"),
+        ("repro.engine.parallel", "build_doulion"),
+        ("repro.engine.parallel", "build_exact_stream"),
+        ("repro.engine.estimators", "fgp_insertion_estimator"),
+        ("repro.engine.estimators", "fgp_turnstile_estimator"),
+        ("repro.engine.estimators", "fgp_two_pass_estimator"),
+        ("repro.engine.estimators", "ers_clique_estimator"),
+    ]
+    + [
+        (f"numpy.{core}.{module}", name)
+        for core in ("core", "_core")
+        for module, name in (
+            ("numeric", "_frombuffer"),
+            ("multiarray", "_reconstruct"),
+            ("multiarray", "scalar"),
+        )
+    ]
+)
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    """An unpickler that resolves only :data:`_CHECKPOINT_GLOBALS`."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) not in _CHECKPOINT_GLOBALS:
+            raise pickle.UnpicklingError(
+                f"global {module}.{name} is not allowed in a checkpoint"
+            )
+        return super().find_class(module, name)
+
+
 def _unpickle(data: bytes, path: str, what: str) -> Any:
     """Deserialize one payload, converting every failure mode to a typed
     :class:`~repro.errors.CheckpointError` — a corrupted or truncated
-    pickle must never escape as a raw ``EOFError``/``UnpicklingError``.
+    pickle must never escape as a raw ``EOFError``/``UnpicklingError``,
+    and a payload naming a global outside :data:`_CHECKPOINT_GLOBALS`
+    is refused before anything it names is called.
     """
     try:
-        return pickle.loads(data)
+        return _CheckpointUnpickler(io.BytesIO(data)).load()
     except Exception as error:
         raise CheckpointError(
             f"{path!r}: checkpoint {what} failed to deserialize "
@@ -1452,8 +1503,10 @@ class LiveEngine:
         delta snapshot overwrites the bad tip.  ``restore_info`` on
         the returned engine records what happened.
 
-        Checkpoints are pickled documents: restore only files you
-        trust (same caveat as any pickle).
+        Payloads are read by a restricted unpickler (see the module
+        docstring): a checkpoint that names any global outside the
+        allow-list is refused with a
+        :class:`~repro.errors.CheckpointError` without running it.
         """
         path = os.fspath(path)
         version, sections, base_crc = _read_container(path)

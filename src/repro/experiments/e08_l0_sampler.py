@@ -70,8 +70,7 @@ def run(fast: bool = True, seed: int = 2022) -> Table:
                 universe, derive_rng(rng, f"{universe}-{repetitions}-{draw}"),
                 repetitions=repetitions,
             )
-            for item, delta in updates:
-                sampler.update(item, delta)
+            sampler.update_many(updates)
             space = sampler.space_words
             result = sampler.sample()
             if result is None:

@@ -20,7 +20,8 @@ fuzz tests in ``tests/test_vectorized_equivalence.py`` pin this down.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import random
+from typing import List, Tuple
 
 import numpy as np
 
@@ -56,24 +57,31 @@ def mulmod_vec(a: np.ndarray, b) -> np.ndarray:
     a_lo = a & _MASK32
     b_hi = b >> _U32
     b_lo = b & _MASK32
-    hh = a_hi * b_hi
-    mid = a_hi * b_lo + a_lo * b_hi
+    # The partial products are fresh arrays of the broadcast shape, so
+    # the folding below runs in place (fewer temporaries per call).
+    out = a_hi * b_hi
+    out <<= _U3
+    mid = a_hi * b_lo
+    mid += a_lo * b_hi
+    out += mid >> _U29
+    mid &= _MASK29
+    mid <<= _U32
+    out += mid
     ll = a_lo * b_lo
-    out = (
-        (hh << _U3)
-        + (mid >> _U29)
-        + ((mid & _MASK29) << _U32)
-        + (ll >> _U61)
-        + (ll & _P)
-    )
-    out = (out >> _U61) + (out & _P)
-    return np.where(out >= _P, out - _P, out)
+    out += ll >> _U61
+    ll &= _P
+    out += ll
+    high = out >> _U61
+    out &= _P
+    out += high
+    # out < 2p: when out < p, out - p wraps above 2^63 > out.
+    return np.minimum(out, out - _P)
 
 
 def addmod_vec(a: np.ndarray, b) -> np.ndarray:
     """Elementwise ``(a + b) mod (2^61 - 1)`` on ``uint64`` operands < p."""
     out = a + b
-    return np.where(out >= _P, out - _P, out)
+    return np.minimum(out, out - _P)
 
 
 def powmod_vec(base: int, exponents: np.ndarray) -> np.ndarray:
@@ -102,6 +110,23 @@ def powmod_vec(base: int, exponents: np.ndarray) -> np.ndarray:
     return result
 
 
+def draw_coefficients(independence: int, rng: random.Random) -> Tuple[int, ...]:
+    """Draw a random degree-(k-1) polynomial, highest-degree first.
+
+    The single home of the coefficient draw: :class:`PolynomialHash`
+    and the ℓ0 bank (:class:`~repro.sketch.l0.L0Bank`) both consume
+    *rng* exactly this way, so a bank row and a hash built from the
+    same generator hold the same function.
+    """
+    # Leading coefficient non-zero keeps the polynomial degree exact.
+    coefficients: List[int] = [
+        rng.randrange(MERSENNE_PRIME) for _ in range(independence - 1)
+    ]
+    coefficients.append(1 + rng.randrange(MERSENNE_PRIME - 1))
+    # Highest-degree first: exactly the order Horner consumes.
+    return tuple(reversed(coefficients))
+
+
 class PolynomialHash:
     """A k-wise independent hash function h: [universe] -> [0, prime).
 
@@ -125,14 +150,7 @@ class PolynomialHash:
     def __init__(self, independence: int, rng: RandomSource = None) -> None:
         if independence < 1:
             raise ValueError(f"independence must be >= 1, got {independence}")
-        random_state = ensure_rng(rng)
-        # Leading coefficient non-zero keeps the polynomial degree exact.
-        coefficients: List[int] = [
-            random_state.randrange(MERSENNE_PRIME) for _ in range(independence - 1)
-        ]
-        coefficients.append(1 + random_state.randrange(MERSENNE_PRIME - 1))
-        # Highest-degree first: exactly the order Horner consumes.
-        self._coefficients = tuple(reversed(coefficients))
+        self._coefficients = draw_coefficients(independence, ensure_rng(rng))
         self._coefficients_vec = np.array(self._coefficients, dtype=np.uint64)
 
     @property

@@ -11,17 +11,19 @@ c), then weight = c, weighted_sum = c * i, and the fingerprint equals
 c * z^i.  The fingerprint check makes false positives happen with
 probability <= universe / p over the choice of z — negligible for
 p = 2^61 - 1.  This is the building block of the Cormode–Firmani
-ℓ0-sampler (Lemma 7).
+ℓ0-sampler (Lemma 7); the ℓ0 bank (:class:`~repro.sketch.l0.L0Bank`)
+keeps the same triples, one per (repetition, level), in arrays.
 
 All three aggregates are linear in the updates, which is what the
 columnar fast path exploits: a batch of updates collapses to one
 triple of deltas (:meth:`OneSparseRecovery.apply_aggregates`),
-computed vectorized by the caller and bit-identical to replaying the
-batch element-wise.
+computed vectorized and bit-identical to replaying the batch
+element-wise.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -30,6 +32,15 @@ from repro.errors import MergeError
 from repro.sketch.hashing import MERSENNE_PRIME, mulmod_vec, powmod_vec, split_sum
 from repro.utils.checkpoint import check_merge_config, check_state_config, state_field
 from repro.utils.rng import RandomSource, ensure_rng
+
+
+def draw_fingerprint_base(rng: random.Random) -> int:
+    """A random fingerprint base ``z`` in ``[2, p)``.
+
+    The single home of the draw, shared with the ℓ0 bank
+    (:class:`~repro.sketch.l0.L0Bank`) so both consume *rng* alike.
+    """
+    return 2 + rng.randrange(MERSENNE_PRIME - 2)
 
 
 class OneSparseRecovery:
@@ -47,7 +58,7 @@ class OneSparseRecovery:
             raise ValueError(f"universe must be positive, got {universe}")
         self._universe = universe
         if z is None:
-            z = 2 + ensure_rng(rng).randrange(MERSENNE_PRIME - 2)
+            z = draw_fingerprint_base(ensure_rng(rng))
         self._z = z
         self._weight = 0
         self._weighted_sum = 0
@@ -66,7 +77,7 @@ class OneSparseRecovery:
         """Like :meth:`update` with ``z^item mod p`` precomputed.
 
         Callers that fan one update out to many levels sharing the
-        same base ``z`` (the ℓ0-sampler) compute the power once.
+        same base ``z`` (an ℓ0-sampler's levels) compute the power once.
         """
         if not 0 <= item < self._universe:
             raise ValueError(f"item {item} outside universe [0, {self._universe})")
@@ -149,7 +160,8 @@ class OneSparseRecovery:
 
         By linearity, applying ``(Σ delta, Σ delta·item, Σ delta·z^item
         mod p)`` equals replaying the underlying updates one by one —
-        the contract the ℓ0-sampler's grouped scatter-add relies on.
+        the contract every batched path (here and in the ℓ0 bank's
+        grouped scatter-add) relies on.
         """
         self._weight += weight_delta
         self._weighted_sum += weighted_delta

@@ -24,6 +24,7 @@ three defining columns.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,6 +64,25 @@ def edge_id(u: int, v: int, n: int) -> int:
     """
     a, b = (u, v) if u < v else (v, u)
     return a * (2 * n - a - 1) // 2 + (b - a - 1)
+
+
+def edge_from_id(identifier: int, n: int) -> Tuple[int, int]:
+    """Inverse of :func:`edge_id`: the pair ``(a, b)``, ``a < b``, with that id.
+
+    Row ``a`` starts at ``f(a) = a(2n - a - 1)/2``; the row of an id is
+    the largest ``a`` with ``f(a) <= id``, i.e. the floor of the smaller
+    root ``(d - sqrt(d^2 - 8·id))/2`` with ``d = 2n - 1``.  With
+    ``s = isqrt(d^2 - 8·id)`` that floor is ``(d - s)//2`` when the
+    discriminant is a perfect square and ``(d - s - 1)//2`` otherwise —
+    exact integer arithmetic, O(1) for any ``n``.
+    """
+    if not 0 <= identifier < n * (n - 1) // 2:
+        raise ValueError(f"edge id {identifier} outside [0, {n * (n - 1) // 2}) for n={n}")
+    d = 2 * n - 1
+    discriminant = d * d - 8 * identifier
+    root = math.isqrt(discriminant)
+    a = (d - root - (root * root != discriminant)) // 2
+    return a, identifier - a * (2 * n - a - 1) // 2 + a + 1
 
 
 def sorted_member_mask(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ introduces the relaxed model (Definition 10).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -37,10 +38,11 @@ from repro.oracle.base import (
     RandomEdgeQuery,
     RandomNeighborQuery,
 )
-from repro.sketch.l0 import L0Sampler
+from repro.sketch.l0 import L0Bank
 from repro.streams.batch import (
     EdgeBatch,
     VertexMembership,
+    edge_from_id,
     edge_id,
     sorted_member_mask,
 )
@@ -56,31 +58,24 @@ from repro.utils.checkpoint import (
 from repro.utils.rng import RandomSource, derive_rng, ensure_rng, seed_fingerprint
 
 
-#: Single home of the dense pair encoding: repro.streams.batch.edge_id
-#: (kept under the historical private name for this module's callers).
+#: Single home of the dense pair encoding and its inverse:
+#: repro.streams.batch.edge_id / edge_from_id (kept under the historical
+#: private names for this module's callers).
 _edge_id = edge_id
-
-
-def _edge_from_id(identifier: int, n: int) -> Tuple[int, int]:
-    """Inverse of :func:`_edge_id`."""
-    a = 0
-    remaining = identifier
-    row = n - 1
-    while remaining >= row:
-        remaining -= row
-        a += 1
-        row -= 1
-    return a, a + 1 + remaining
+_edge_from_id = edge_from_id
 
 
 class TurnstilePassState:
     """One in-flight turnstile pass (see :class:`InsertionPassState`).
 
-    The ℓ0-sampler banks are linear sketches, so ingestion iterates
-    sampler-major over each decoded batch (one :meth:`L0Sampler.update_many`
-    call per sampler) — the per-element Python overhead of the historical
-    update-major loop is paid once per batch instead.  No randomness is
-    drawn during ingestion, so answers are bit-identical to the old loop.
+    The pass's ℓ0-samplers live in two :class:`~repro.sketch.l0.L0Bank`
+    instances: one edge bank (f1) over the edge-id universe and one
+    neighbor bank (f3) over ``[0, n)`` whose rows are grouped by watched
+    vertex into contiguous ranges.  A batch therefore costs one edge-bank
+    kernel call plus one neighbor-bank call per watched vertex that the
+    batch touches, whatever the number of samplers.  No randomness is
+    drawn during ingestion, so answers are bit-identical to updating
+    each sampler on its own.
     """
 
     __slots__ = (
@@ -88,9 +83,12 @@ class TurnstilePassState:
         "_size",
         "_component",
         "_n",
-        "_edge_samplers",
-        "_neighbor_samplers",
-        "_samplers_by_vertex",
+        "_edge_positions",
+        "_edge_bank",
+        "_neighbor_positions",
+        "_neighbor_order",
+        "_neighbor_bank",
+        "_neighbor_rows",
         "_degree_positions",
         "_adjacency_positions",
         "_edge_count_positions",
@@ -112,8 +110,9 @@ class TurnstilePassState:
         self._n = n
         edge_universe = max(1, n * (n - 1) // 2)
 
-        edge_samplers: List[Tuple[int, L0Sampler]] = []
-        neighbor_samplers: List[Tuple[int, int, L0Sampler]] = []
+        edge_positions: List[int] = []
+        edge_rngs = []
+        neighbor_entries = []
         degree_positions: List[Tuple[int, int]] = []
         adjacency_positions: List[Tuple[int, Tuple[int, int]]] = []
         edge_count_positions: List[int] = []
@@ -123,15 +122,11 @@ class TurnstilePassState:
         for position, query in enumerate(batch):
             kind = type(query)
             if kind is RandomEdgeQuery:
-                child = derive_rng(oracle._rng, f"l0edge-{pass_index}-{position}")
-                edge_samplers.append(
-                    (position, L0Sampler(edge_universe, child, oracle._sampler_repetitions))
-                )
+                edge_positions.append(position)
+                edge_rngs.append(derive_rng(oracle._rng, f"l0edge-{pass_index}-{position}"))
             elif kind is RandomNeighborQuery:
                 child = derive_rng(oracle._rng, f"l0nbr-{pass_index}-{position}")
-                neighbor_samplers.append(
-                    (position, query.vertex, L0Sampler(n, child, oracle._sampler_repetitions))
-                )
+                neighbor_entries.append((query.vertex, position, child))
             elif kind is DegreeQuery:
                 degree_vertices.add(query.vertex)
                 degree_positions.append((position, query.vertex))
@@ -150,11 +145,28 @@ class TurnstilePassState:
             else:
                 raise OracleError(f"unsupported query type {kind.__name__}")
 
-        self._edge_samplers = edge_samplers
-        self._neighbor_samplers = neighbor_samplers
-        self._samplers_by_vertex: Dict[int, List[L0Sampler]] = {}
-        for _, vertex, sampler in neighbor_samplers:
-            self._samplers_by_vertex.setdefault(vertex, []).append(sampler)
+        repetitions = oracle._sampler_repetitions
+        self._edge_positions = edge_positions
+        self._edge_bank = L0Bank(edge_universe, edge_rngs, repetitions)
+        # Each sampler draws only from its own child generator, so the
+        # neighbor bank may order its rows by watched vertex (stable:
+        # query order within a vertex) and keep each vertex's samplers
+        # in one contiguous row range.
+        neighbor_entries.sort(key=itemgetter(0))
+        self._neighbor_positions = [(position, vertex) for vertex, position, _ in neighbor_entries]
+        self._neighbor_bank = L0Bank(
+            max(1, n), [child for _, _, child in neighbor_entries], repetitions
+        )
+        self._neighbor_rows: Dict[int, slice] = {}
+        for index, (vertex, _, _) in enumerate(neighbor_entries):
+            rows = self._neighbor_bank.rows(index)
+            if vertex in self._neighbor_rows:
+                rows = slice(self._neighbor_rows[vertex].start, rows.stop)
+            self._neighbor_rows[vertex] = rows
+        #: Bank indices of the neighbor samplers in query order.
+        self._neighbor_order = sorted(
+            range(len(neighbor_entries)), key=lambda index: neighbor_entries[index][1]
+        )
         self._degree_positions = degree_positions
         self._adjacency_positions = adjacency_positions
         self._edge_count_positions = edge_count_positions
@@ -175,8 +187,8 @@ class TurnstilePassState:
 
         self._component = f"turnstile-pass-{pass_index}"
         words = (
-            sum(s.space_words for _, s in edge_samplers)
-            + sum(s.space_words for _, _, s in neighbor_samplers)
+            self._edge_bank.space_words
+            + self._neighbor_bank.space_words
             + len(degree_vertices)
             + len(adjacency_pairs)
             + (1 if edge_count_positions else 0)
@@ -208,73 +220,29 @@ class TurnstilePassState:
             if pair_counts and edge in pair_counts:
                 pair_counts[edge] += delta
         self._edge_count = edge_count
-
-        if self._edge_samplers:
-            n = self._n
-            pairs = [(_edge_id(u, v, n), delta) for u, v, delta, _ in updates]
-            for _, sampler in self._edge_samplers:
-                sampler.update_many(pairs)
-        samplers_by_vertex = self._samplers_by_vertex
-        if samplers_by_vertex:
-            # One scan groups the batch by watched endpoint, so S samplers
-            # over the same vertex share the incident list instead of each
-            # rescanning the whole batch.
-            incident: Dict[int, List[Tuple[int, int]]] = {}
-            for u, v, delta, _ in updates:
-                if u in samplers_by_vertex:
-                    incident.setdefault(u, []).append((v, delta))
-                if v in samplers_by_vertex:
-                    incident.setdefault(v, []).append((u, delta))
-            for vertex, pairs in incident.items():
-                for sampler in samplers_by_vertex[vertex]:
-                    sampler.update_many(pairs)
+        if len(self._edge_bank) or len(self._neighbor_bank):
+            self._feed_banks(EdgeBatch.from_tuples(updates))
 
     def _ingest_columnar(self, batch: EdgeBatch) -> None:
         """Vectorized ingestion of one columnar batch.
 
         Counters become filtered grouped sums into flat accumulators;
-        the ℓ0-sampler banks consume the batch through
-        :meth:`~repro.sketch.l0.L0Sampler.update_many_arrays` — one
-        batched Horner + shared-base power table + grouped scatter-add
-        per sampler repetition instead of per-element Python calls.
+        the ℓ0-sampler banks consume the batch in :meth:`_feed_banks`.
         """
         self._edge_count += int(batch.delta.sum())
         if not self._columnar_ready:
             self._build_columnar_structures()
 
         degree_members = self._degree_members
-        sampler_members = self._sampler_members
-        if degree_members is not None or sampler_members is not None:
-            endpoint, other, index = batch.events()
-
-            if degree_members is not None:
-                mask = degree_members.mask(endpoint)
-                if mask.any():
-                    np.add.at(
-                        self._degree_accumulator,
-                        degree_members.slots(endpoint[mask]),
-                        batch.delta[index[mask]],
-                    )
-
-            if sampler_members is not None:
-                mask = sampler_members.mask(endpoint)
-                if mask.any():
-                    hits = np.flatnonzero(mask)
-                    order = hits[np.argsort(endpoint[hits], kind="stable")]
-                    endpoints = endpoint[order]
-                    boundaries = np.flatnonzero(
-                        np.concatenate(([True], endpoints[1:] != endpoints[:-1]))
-                    )
-                    stops = np.concatenate((boundaries[1:], [len(endpoints)]))
-                    others = other[order]
-                    deltas = batch.delta[index[order]]
-                    samplers_by_vertex = self._samplers_by_vertex
-                    for start, stop in zip(boundaries.tolist(), stops.tolist()):
-                        vertex = int(endpoints[start])
-                        items = others[start:stop]
-                        item_deltas = deltas[start:stop]
-                        for sampler in samplers_by_vertex[vertex]:
-                            sampler.update_many_arrays(items, item_deltas)
+        if degree_members is not None:
+            endpoint, _, index = batch.events()
+            mask = degree_members.mask(endpoint)
+            if mask.any():
+                np.add.at(
+                    self._degree_accumulator,
+                    degree_members.slots(endpoint[mask]),
+                    batch.delta[index[mask]],
+                )
 
         pair_ids = self._pair_ids
         if pair_ids is not None:
@@ -284,11 +252,40 @@ class TurnstilePassState:
                 slots = np.searchsorted(pair_ids, ids[mask])
                 np.add.at(self._pair_accumulator, slots, batch.delta[mask])
 
-        if self._edge_samplers:
-            ids = batch.edge_ids(self._n)
-            deltas = batch.delta
-            for _, sampler in self._edge_samplers:
-                sampler.update_many_arrays(ids, deltas)
+        self._feed_banks(batch)
+
+    def _feed_banks(self, batch: EdgeBatch) -> None:
+        """One edge-bank kernel call, plus one per touched watched vertex.
+
+        The neighbor bank's rows are ordered by watched vertex, and so
+        are the membership slots, so a stable sort of the batch's
+        endpoint events by slot yields each vertex's incident
+        ``(neighbor, delta)`` run for its row range in one pass.
+        """
+        if len(self._edge_bank):
+            self._edge_bank.update(batch.edge_ids(self._n), batch.delta)
+        if not len(self._neighbor_bank):
+            return
+        if not self._columnar_ready:
+            self._build_columnar_structures()
+        members = self._sampler_members
+        endpoint, other, index = batch.events()
+        hits = np.flatnonzero(members.mask(endpoint))
+        if not len(hits):
+            return
+        slots = members.slots(endpoint[hits])
+        order = np.argsort(slots, kind="stable")
+        slots = slots[order]
+        hits = hits[order]
+        others = other[hits]
+        deltas = batch.delta[index[hits]]
+        starts = np.flatnonzero(np.concatenate(([True], slots[1:] != slots[:-1])))
+        stops = np.concatenate((starts[1:], [len(slots)]))
+        vertices = members.vertices
+        neighbor_rows = self._neighbor_rows
+        for start, stop in zip(starts.tolist(), stops.tolist()):
+            rows = neighbor_rows[int(vertices[slots[start]])]
+            self._neighbor_bank.update(others[start:stop], deltas[start:stop], rows)
 
     def _build_columnar_structures(self) -> None:
         """Lazily build the vectorized-path lookup structures.
@@ -305,8 +302,8 @@ class TurnstilePassState:
             self._degree_accumulator = np.zeros(
                 len(self._degree_members), dtype=np.int64
             )
-        if self._samplers_by_vertex:
-            self._sampler_members = VertexMembership(self._samplers_by_vertex, n)
+        if self._neighbor_rows:
+            self._sampler_members = VertexMembership(self._neighbor_rows, n)
         if self._pair_counts:
             ids = sorted(_edge_id(a, b, n) for a, b in self._pair_counts)
             self._pair_ids = np.array(ids, dtype=np.int64)
@@ -342,8 +339,8 @@ class TurnstilePassState:
         """Fold another shard's pass state into this one, exactly.
 
         Every structure of a turnstile pass is linear in the updates —
-        signed counters add, and the ℓ0-sampler banks merge sketch-wise
-        (:meth:`~repro.sketch.l0.L0Sampler.merge`) — and **no randomness
+        signed counters add, and the ℓ0-sampler banks add row-wise
+        (:meth:`~repro.sketch.l0.L0Bank.merge`) — and **no randomness
         is drawn during ingestion**, so two replica pass states (built
         by identically seeded oracles for the same round's query batch,
         each fed a disjoint shard of the stream) merge into a state
@@ -366,13 +363,10 @@ class TurnstilePassState:
             "TurnstilePassState",
             size=(self._size, other._size),
             n=(self._n, other._n),
-            edge_sampler_positions=(
-                [position for position, _ in self._edge_samplers],
-                [position for position, _ in other._edge_samplers],
-            ),
+            edge_sampler_positions=(self._edge_positions, other._edge_positions),
             neighbor_sampler_positions=(
-                [(position, vertex) for position, vertex, _ in self._neighbor_samplers],
-                [(position, vertex) for position, vertex, _ in other._neighbor_samplers],
+                sorted(self._neighbor_positions),
+                sorted(other._neighbor_positions),
             ),
             degree_vertices=(
                 sorted(self._degree_counts),
@@ -394,21 +388,16 @@ class TurnstilePassState:
             self._degree_counts[vertex] += count
         for pair, count in other._pair_counts.items():
             self._pair_counts[pair] += count
-        for (_, sampler), (_, other_sampler) in zip(
-            self._edge_samplers, other._edge_samplers
-        ):
-            sampler.merge(other_sampler)
-        for (_, _, sampler), (_, _, other_sampler) in zip(
-            self._neighbor_samplers, other._neighbor_samplers
-        ):
-            sampler.merge(other_sampler)
+        self._edge_bank.merge(other._edge_bank)
+        self._neighbor_bank.merge(other._neighbor_bank)
 
     def state_dict(self) -> dict:
         """Mutable runtime state of the in-flight pass.
 
-        Sampler entries are stored in construction order; the sketch
-        internals (hash coefficients, fingerprint bases, aggregates)
-        ride along in each :meth:`~repro.sketch.l0.L0Sampler.state_dict`.
+        Sampler entries are stored in query order, each in the
+        :meth:`~repro.sketch.l0.L0Sampler.state_dict` format (hash
+        coefficients, fingerprint bases, aggregates), read off the
+        banks by :meth:`~repro.sketch.l0.L0Bank.state_dicts`.
         """
         self._fold_columnar_state()
         return {
@@ -418,10 +407,8 @@ class TurnstilePassState:
             "pair_counts": sorted(
                 (pair, count) for pair, count in self._pair_counts.items()
             ),
-            "edge_samplers": [s.state_dict() for _, s in self._edge_samplers],
-            "neighbor_samplers": [
-                s.state_dict() for _, _, s in self._neighbor_samplers
-            ],
+            "edge_samplers": self._edge_bank.state_dicts(),
+            "neighbor_samplers": self._neighbor_bank.state_dicts(self._neighbor_order),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -435,13 +422,13 @@ class TurnstilePassState:
             )
         edge_states = state_field("TurnstilePassState", state, "edge_samplers")
         neighbor_states = state_field("TurnstilePassState", state, "neighbor_samplers")
-        if len(edge_states) != len(self._edge_samplers) or len(neighbor_states) != len(
-            self._neighbor_samplers
+        if len(edge_states) != len(self._edge_bank) or len(neighbor_states) != len(
+            self._neighbor_bank
         ):
             raise CheckpointError(
                 f"TurnstilePassState state carries {len(edge_states)} edge / "
                 f"{len(neighbor_states)} neighbor samplers; this pass has "
-                f"{len(self._edge_samplers)} / {len(self._neighbor_samplers)}"
+                f"{len(self._edge_bank)} / {len(self._neighbor_bank)}"
             )
         self._fold_columnar_state()
         self._edge_count = int(state_field("TurnstilePassState", state, "edge_count"))
@@ -452,23 +439,21 @@ class TurnstilePassState:
             tuple(pair): int(count)
             for pair, count in state_field("TurnstilePassState", state, "pair_counts")
         }
-        for (_, sampler), captured in zip(self._edge_samplers, edge_states):
-            sampler.load_state_dict(captured)
-        for (_, _, sampler), captured in zip(self._neighbor_samplers, neighbor_states):
-            sampler.load_state_dict(captured)
+        self._edge_bank.load_state_dicts(edge_states)
+        self._neighbor_bank.load_state_dicts(neighbor_states, self._neighbor_order)
 
     def finish(self) -> List[Any]:
         """Collect the batch's answers and release the pass's space."""
         self._fold_columnar_state()
         n = self._n
         answers: List[Any] = [None] * self._size
-        for position, sampler in self._edge_samplers:
-            identifier = sampler.sample()
+        for index, position in enumerate(self._edge_positions):
+            identifier = self._edge_bank.sampler(index).sample()
             answers[position] = (
-                None if identifier is None else _edge_from_id(identifier, n)
+                None if identifier is None else edge_from_id(identifier, n)
             )
-        for position, _, sampler in self._neighbor_samplers:
-            answers[position] = sampler.sample()
+        for index, (position, _) in enumerate(self._neighbor_positions):
+            answers[position] = self._neighbor_bank.sampler(index).sample()
         degree_counts = self._degree_counts
         for position, vertex in self._degree_positions:
             answers[position] = degree_counts[vertex]

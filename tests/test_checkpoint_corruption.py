@@ -268,3 +268,75 @@ class TestLegacyV1:
                         "legacy.ckpt")
         with pytest.raises(CheckpointError, match="not supported"):
             LiveEngine.restore(path)
+
+
+class _Exploit:
+    """Pickles as a call to *function* with *args* — the classic
+    ``__reduce__`` code-execution payload."""
+
+    def __init__(self, function, *args):
+        self.function = function
+        self.args = args
+
+    def __reduce__(self):
+        return self.function, self.args
+
+
+def _payloads(marker):
+    """Crafted payloads that would each create *marker* if executed."""
+    import builtins
+    import os
+
+    import numpy as np
+
+    command = f"touch {marker}"
+    source = f"open({str(marker)!r}, 'w').close()"
+    return {
+        "os.system": _Exploit(os.system, command),
+        "builtins.eval": _Exploit(builtins.eval, source),
+        "builtins.exec": _Exploit(builtins.exec, source),
+        # Allowed numpy reconstructors around a forbidden element.
+        "object array": np.array([_Exploit(builtins.eval, source)], dtype=object),
+    }
+
+
+class TestCraftedPayloads:
+    """A CRC-valid checkpoint whose payload names a callable is refused
+    before the callable runs: restore never executes checkpoint bytes."""
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    @pytest.mark.parametrize("kind", ["os.system", "builtins.eval",
+                                      "builtins.exec", "object array"])
+    def test_sectioned_payload_is_refused(self, tmp_path, section, kind):
+        marker = tmp_path / "executed"
+        payload = _payloads(marker)[kind]
+        sections = {
+            "engine": {"format": _FORMAT_FULL, "n": 10},
+            "journal": {},
+            "estimators": {},
+        }
+        sections[section] = {"format": _FORMAT_FULL, "payload": payload}
+        path = _damaged(tmp_path, _encode_sections(list(sections.items())),
+                        "crafted.ckpt")
+        with pytest.raises(CheckpointError, match="not allowed") as info:
+            LiveEngine.restore(path)
+        assert section in str(info.value)
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("kind", ["os.system", "builtins.eval",
+                                      "builtins.exec", "object array"])
+    def test_v1_document_payload_is_refused(self, tmp_path, kind):
+        marker = tmp_path / "executed"
+        document = {"format": _FORMAT_FULL, "version": 1,
+                    "engine": _payloads(marker)[kind]}
+        path = _damaged(tmp_path, CHECKPOINT_MAGIC + pickle.dumps(document),
+                        "crafted-v1.ckpt")
+        with pytest.raises(CheckpointError, match="not allowed"):
+            LiveEngine.restore(path)
+        assert not marker.exists()
+
+    def test_genuine_checkpoint_still_restores(self, pristine, tmp_path):
+        blob, _, expected = pristine
+        engine = LiveEngine.restore(_damaged(tmp_path, blob, "genuine.ckpt"))
+        assert {n: r.estimate for n, r in engine.estimate().items()} == expected
+        engine.close()

@@ -19,6 +19,7 @@ from repro.oracle.base import (
     RandomEdgeQuery,
     RandomNeighborQuery,
 )
+from repro.streams.batch import edge_from_id, edge_id
 from repro.streams.generators import turnstile_churn_stream
 from repro.streams.stream import EdgeStream, Update, insertion_stream
 from repro.transform.driver import parallel_rounds, run_round_adaptive
@@ -104,6 +105,35 @@ class TestTurnstileEmulation:
                 assert _edge_from_id(identifier, n) == (u, v)
                 seen.add(identifier)
         assert seen == set(range(n * (n - 1) // 2))
+
+    @pytest.mark.parametrize("n", [2, 3, 30, 1000])
+    def test_edge_from_id_exhaustive_round_trip(self, n):
+        identifier = 0
+        for u in range(n):
+            for v in range(u + 1, n):
+                assert edge_id(u, v, n) == identifier
+                assert edge_from_id(identifier, n) == (u, v)
+                identifier += 1
+
+    def test_edge_from_id_boundaries_near_two_to_the_32(self):
+        for n in ((1 << 32) - 1, 1 << 32):
+            pairs = [(0, 1), (0, n - 1), (1, 2), (n - 3, n - 2), (n - 3, n - 1),
+                     (n - 2, n - 1), (n // 2, n // 2 + 1), (n // 2 - 1, n - 1)]
+            for a, b in pairs:
+                identifier = edge_id(a, b, n)
+                assert edge_from_id(identifier, n) == (a, b)
+                # The ids on either side of a row boundary land in the
+                # neighbouring rows.
+                for near in (identifier - 1, identifier + 1):
+                    if 0 <= near < n * (n - 1) // 2:
+                        c, d = edge_from_id(near, n)
+                        assert 0 <= c < d < n and edge_id(c, d, n) == near
+
+    def test_edge_from_id_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            edge_from_id(3, 3)
+        with pytest.raises(ValueError):
+            edge_from_id(-1, 5)
 
     def test_exact_queries_respect_deletions(self, graph):
         stream = turnstile_churn_stream(graph, 20, rng=10)

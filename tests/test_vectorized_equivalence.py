@@ -10,6 +10,9 @@ splits of the same stream), negative turnstile deltas, and duplicate
 items inside one batch.
 """
 
+import hashlib
+import math
+import pickle
 import random
 
 import numpy as np
@@ -31,14 +34,16 @@ from repro.oracle.base import (
     RandomEdgeQuery,
     RandomNeighborQuery,
 )
+from repro.errors import MergeError
 from repro.sketch.hashing import (
     MERSENNE_PRIME,
     PolynomialHash,
+    addmod_vec,
     mulmod_vec,
     powmod_vec,
     split_sum,
 )
-from repro.sketch.l0 import L0Sampler
+from repro.sketch.l0 import L0Bank, L0Sampler
 from repro.sketch.onesparse import OneSparseRecovery
 from repro.sketch.reservoir import SkipAheadReservoirBank
 from repro.streams.batch import EdgeBatch, sorted_member_mask
@@ -46,6 +51,7 @@ from repro.streams.generators import turnstile_churn_stream
 from repro.streams.stream import EdgeStream, Update
 from repro.transform.insertion import InsertionStreamOracle
 from repro.transform.turnstile import TurnstileStreamOracle
+from repro.utils.rng import derive_rng
 
 
 class TestFieldKernels:
@@ -64,6 +70,14 @@ class TestFieldKernels:
             out = mulmod_vec(np.full(len(edge), x, dtype=np.uint64), edge)
             for i, y in enumerate(edge.tolist()):
                 assert int(out[i]) == (x * y) % p
+
+    def test_addmod_boundary_values(self):
+        p = MERSENNE_PRIME
+        edge = np.array([0, 1, 2, p - 2, p - 1, 1 << 60], dtype=np.uint64)
+        for x in edge.tolist():
+            out = addmod_vec(np.full(len(edge), x, dtype=np.uint64), edge)
+            for i, y in enumerate(edge.tolist()):
+                assert int(out[i]) == (x + y) % p
 
     def test_powmod_matches_builtin_pow(self):
         rng = random.Random(11)
@@ -174,11 +188,10 @@ class TestBatchedSketches:
                 np.array([i for i, _ in tail], dtype=np.int64),
                 np.array([d for _, d in tail], dtype=np.int64),
             )
-        for s_levels, v_levels in zip(scalar._sketches, vector._sketches):
-            for s, v in zip(s_levels, v_levels):
-                assert s._weight == v._weight
-                assert s._weighted_sum == v._weighted_sum
-                assert s._fingerprint == v._fingerprint
+        # Every level's (weight, weighted_sum, fingerprint) plus the
+        # frozen randomness: equal-or-stronger than comparing the
+        # aggregates alone.
+        assert scalar.state_dict() == vector.state_dict()
         assert scalar.sample() == vector.sample()
 
     def test_l0_update_many_arrays_validates_universe(self):
@@ -188,6 +201,10 @@ class TestBatchedSketches:
         with pytest.raises(SketchError):
             sampler.update_many_arrays(
                 np.array([3, 10], dtype=np.int64), np.array([1, 1], dtype=np.int64)
+            )
+        with pytest.raises(SketchError):
+            sampler.update_many_arrays(
+                np.array([3, 4], dtype=np.int64), np.array([1], dtype=np.int64)
             )
 
     @pytest.mark.parametrize("sizes", [[0, 1, 499], [500], [250, 250], [13] * 38 + [6]])
@@ -441,3 +458,216 @@ class TestEdgeBatch:
 
         reference = [tup for chunk in decoded_chunks(stream.updates(), 7) for tup in chunk]
         assert flat == reference
+
+
+class _ScalarL0:
+    """Per-element reference for one ℓ0-sampler, used only by tests.
+
+    The layout the bank replaced — one ``PolynomialHash`` and one row of
+    ``OneSparseRecovery`` sketches per repetition, drawn from the seed
+    in the documented order — updated one element at a time with exact
+    Python-int arithmetic.  Its capture is the ``L0Sampler.state_dict``
+    format, so a bank must reproduce it field for field.
+    """
+
+    def __init__(self, universe, seed, repetitions, levels=None):
+        source = random.Random(seed)
+        self.universe = universe
+        self.levels = levels if levels is not None else max(2, int(math.log2(universe)) + 2)
+        self.repetitions = repetitions
+        self.hashes, self.sketches = [], []
+        for repetition in range(repetitions):
+            child = derive_rng(source, f"l0-rep-{repetition}")
+            self.hashes.append(PolynomialHash(8, child))
+            probe = OneSparseRecovery(universe, child)
+            self.sketches.append(
+                [OneSparseRecovery(universe, z=probe.z) for _ in range(self.levels + 1)]
+            )
+
+    def update(self, item, delta):
+        for hash_function, levels in zip(self.hashes, self.sketches):
+            z_power = pow(levels[0].z, item, MERSENNE_PRIME)
+            for level in range(hash_function.level(item, self.levels) + 1):
+                levels[level].update_with_power(item, delta, z_power)
+
+    def state_dict(self):
+        return {
+            "universe": self.universe,
+            "levels": self.levels,
+            "repetitions": self.repetitions,
+            "bases": [levels[0].z for levels in self.sketches],
+            "hashes": [h.state_dict() for h in self.hashes],
+            "sketches": [[s.state_dict() for s in levels] for levels in self.sketches],
+        }
+
+
+def _feed_bank(bank, updates, cuts, rows=slice(None)):
+    """Feed *updates* to *bank* in batches split at *cuts* (empties included)."""
+    bounds = [0] + sorted(cuts) + [len(updates)]
+    for start, stop in zip(bounds, bounds[1:]):
+        chunk = updates[start:stop]
+        bank.update(
+            np.array([i for i, _ in chunk], dtype=np.int64),
+            np.array([d for _, d in chunk], dtype=np.int64),
+            rows,
+        )
+
+
+class TestL0Bank:
+    """The bank kernel is bit-identical to per-element updates."""
+
+    @pytest.mark.parametrize(
+        "samplers, repetitions, universe",
+        [(1, 1, 1), (3, 2, 50), (4, 3, 435), (2, 4, 5000), (3, 2, 1 << 40)],
+    )
+    def test_matches_per_element_reference(self, samplers, repetitions, universe):
+        rng = random.Random(universe + samplers)
+        seeds = [rng.randrange(1 << 30) for _ in range(samplers)]
+        updates = _random_updates(rng, universe, 150)
+        # |delta| > 1, and items that cancel inside one batch.
+        updates += [(rng.randrange(universe), rng.choice([-3, 2, 5])) for _ in range(40)]
+        updates += [(item, -delta) for item, delta in updates[:25]]
+        rng.shuffle(updates)
+        bank = L0Bank(universe, seeds, repetitions)
+        cuts = [0, 0, 1] + [rng.randrange(len(updates)) for _ in range(4)]
+        _feed_bank(bank, updates, cuts)
+        references = [_ScalarL0(universe, seed, repetitions) for seed in seeds]
+        views = [L0Sampler(universe, seed, repetitions) for seed in seeds]
+        for item, delta in updates:
+            for reference, view in zip(references, views):
+                reference.update(item, delta)
+                view.update(item, delta)
+        expected = [reference.state_dict() for reference in references]
+        assert bank.state_dicts() == expected
+        assert [view.state_dict() for view in views] == expected
+        for index, view in enumerate(views):
+            assert bank.sampler(index).sample() == view.sample()
+
+    def test_all_cancelling_and_empty_batches_leave_zero_state(self):
+        rng = random.Random(2)
+        updates = _random_updates(rng, 300, 80)
+        cancelling = updates + [(item, -delta) for item, delta in updates]
+        bank = L0Bank(300, [5, 6], 3)
+        pristine = bank.state_dicts()
+        _feed_bank(bank, cancelling, [])
+        _feed_bank(bank, [], [])
+        assert bank.state_dicts() == pristine
+        assert bank.sample(0) is None and bank.is_empty(1)
+
+    def test_batch_split_invariance(self):
+        rng = random.Random(3)
+        updates = _random_updates(rng, 1000, 300)
+        whole = L0Bank(1000, [11, 12, 13], 4)
+        _feed_bank(whole, updates, [])
+        for cuts in ([1], [0, 150, 150, 299], list(range(0, 300, 7))):
+            split = L0Bank(1000, [11, 12, 13], 4)
+            _feed_bank(split, updates, cuts)
+            assert split.state_dicts() == whole.state_dicts()
+
+    def test_row_range_updates_only_its_samplers(self):
+        updates = _random_updates(random.Random(4), 200, 60)
+        bank = L0Bank(200, [1, 2, 3], 2)
+        _feed_bank(bank, updates, [17], rows=bank.rows(1))
+        references = [_ScalarL0(200, seed, 2) for seed in (1, 2, 3)]
+        for item, delta in updates:
+            references[1].update(item, delta)
+        assert bank.state_dicts() == [r.state_dict() for r in references]
+
+    def test_large_batch_fallback_is_exact(self):
+        # max|delta| × length > 2^31: the batch sums run as Python ints,
+        # and a weight past int64 promotes the stored aggregates.
+        universe = 1 << 40
+        updates = [((1 << 32) - 1, 1 << 31), ((1 << 32) - 1, 1 << 31), (7, -(1 << 62)),
+                   (7, -(1 << 62)), (7, -(1 << 62)), (123456789, 3)]
+        bank = L0Bank(universe, [21, 22], 3)
+        _feed_bank(bank, updates, [])
+        _feed_bank(bank, updates, [2])
+        references = [_ScalarL0(universe, seed, 3) for seed in (21, 22)]
+        for item, delta in updates + updates:
+            for reference in references:
+                reference.update(item, delta)
+        assert bank.state_dicts() == [r.state_dict() for r in references]
+        # Back on the int64 fast path after promotion.
+        _feed_bank(bank, [(5, 1), (9, -1)], [])
+        for reference in references:
+            reference.update(5, 1)
+            reference.update(9, -1)
+        assert bank.state_dicts() == [r.state_dict() for r in references]
+
+    def test_weighted_sums_past_two_to_the_63_stay_exact(self):
+        universe = 1 << 41
+        rng = random.Random(6)
+        base = 1 << 40
+        updates = [(base + rng.randrange(64), rng.choice([1 << 14, 1 << 14, 3, -1]))
+                   for _ in range(1500)]
+        bank = L0Bank(universe, [31], 2)
+        _feed_bank(bank, updates, [500, 1000])
+        reference = _ScalarL0(universe, 31, 2)
+        for item, delta in updates:
+            reference.update(item, delta)
+        state = bank.state_dicts()[0]
+        assert state == reference.state_dict()
+        assert max(abs(level["weighted_sum"]) for level in state["sketches"][0]) > 1 << 63
+        # One surviving item near 2^40 with a large weight is recovered.
+        single = L0Bank(universe, [32], 2)
+        _feed_bank(single, [(base + 5, 1 << 20)] * 1000, [250, 600])
+        assert single.sample(0) == base + 5
+
+    def test_merge_equals_single_bank_ingestion(self):
+        rng = random.Random(8)
+        updates = _random_updates(rng, 435, 200)
+        seeds = [41, 42, 43]
+        reference = L0Bank(435, seeds, 3)
+        _feed_bank(reference, updates, [90])
+        left, right = L0Bank(435, seeds, 3), L0Bank(435, seeds, 3)
+        _feed_bank(left, updates[:120], [33])
+        _feed_bank(right, updates[120:], [])
+        left.merge(right)
+        assert left.state_dicts() == reference.state_dicts()
+        with pytest.raises(MergeError, match="bases"):
+            left.merge(L0Bank(435, [41, 99, 43], 3))
+        with pytest.raises(MergeError, match="samplers"):
+            left.merge(L0Bank(435, seeds[:2], 3))
+
+    def test_state_round_trip_rebuilds_power_tables(self):
+        updates = _random_updates(random.Random(9), 500, 100)
+        source = L0Bank(500, [51, 52], 3)
+        _feed_bank(source, updates[:50], [])
+        target = L0Bank(500, [61, 62], 3)
+        _feed_bank(target, updates[:10], [])  # tables built for other bases
+        target.load_state_dicts(source.state_dicts())
+        _feed_bank(source, updates[50:], [])
+        _feed_bank(target, updates[50:], [])
+        assert target.state_dicts() == source.state_dicts()
+
+    def test_pass_state_capture_matches_golden(self):
+        # sha256 of the pickled TurnstilePassState.state_dict() of a fixed
+        # scenario, recorded with the per-sampler implementation the bank
+        # replaced: the plain-data checkpoint format is unchanged byte
+        # for byte (mid-pass and at the end of the pass).
+        graph = generators.gnp(30, 0.3, rng=3)
+        stream = turnstile_churn_stream(graph, churn_edges=25, rng=4)
+        queries = [
+            EdgeCountQuery(), RandomEdgeQuery(), RandomNeighborQuery(7),
+            DegreeQuery(3), RandomNeighborQuery(2), RandomEdgeQuery(),
+            AdjacencyQuery(0, 1), RandomNeighborQuery(7), RandomNeighborQuery(2),
+            RandomEdgeQuery(), RandomNeighborQuery(11),
+        ]
+        oracle = TurnstileStreamOracle(stream, rng=2024, sampler_repetitions=3)
+        oracle.begin_batch(queries[:2])  # advance the pass index and rng once
+        state = oracle.begin_batch(queries)
+        batches = list(stream.batches(16))
+        digests = []
+        for part in (batches[: len(batches) // 2], batches[len(batches) // 2:]):
+            for batch in part:
+                state.ingest_batch(batch)
+            digests.append(
+                hashlib.sha256(pickle.dumps(state.state_dict(), protocol=4)).hexdigest()
+            )
+        assert digests == [
+            "d5380fb5b12a24700de1634b6bc41884a70464496fcf0a9ff5fbf28fca24f643",
+            "3fb3a7a0ef9cf5bb3003a21781f2f007f529100c994436427ade0902f0ef73dc",
+        ]
+        assert state.finish() == [
+            112, (6, 18), 15, 11, 10, (13, 28), True, 0, 17, (2, 18), 8,
+        ]
