@@ -2,8 +2,9 @@
 """CI perf-smoke: a tiny throughput run that validates the JSON contract.
 
 Runs a miniature version of the K-copy insertion-only throughput
-benchmark on both pipelines (scalar and columnar), checks the
-mirror-mode bit-equality invariant, then replays the same stream from
+benchmark twice on the columnar pipeline, at the default batch size
+and at a small one, checks the mirror-mode bit-equality invariant
+across the two splits, then replays the same stream from
 a disk-backed (tmpfile) binary through the fused engine under an LRU
 batch cache — asserting the out-of-core estimates equal the in-memory
 ones bit for bit and the cache stayed under its byte budget.  Both
@@ -38,7 +39,11 @@ from conftest import emit_json, validate_benchmark_json  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from repro.engine import FusionMode, count_subgraphs_insertion_only_fused  # noqa: E402
+from repro.engine import (  # noqa: E402
+    DEFAULT_BATCH_SIZE,
+    FusionMode,
+    count_subgraphs_insertion_only_fused,
+)
 from repro.graph import generators as gen  # noqa: E402
 from repro.patterns import pattern as zoo  # noqa: E402
 from repro.streams.datasets import DiskEdgeStream, write_binary_updates  # noqa: E402
@@ -126,7 +131,7 @@ def main() -> int:
 
     rows = []
     estimates = {}
-    for columnar in (False, True):
+    for batch_size in (DEFAULT_BATCH_SIZE, 7):
         stream = insertion_stream(graph, rng=12)
         start = time.perf_counter()
         fused = count_subgraphs_insertion_only_fused(
@@ -136,24 +141,25 @@ def main() -> int:
             trials=trials,
             rng=13,
             mode=FusionMode.MIRROR,
-            columnar=columnar,
+            batch_size=batch_size,
         )
         elapsed = time.perf_counter() - start
         if fused.passes != 3:
             print(f"perf-smoke: expected 3 fused passes, got {fused.passes}")
             return 1
-        estimates[columnar] = fused.estimates
+        estimates[batch_size] = fused.estimates
         rows.append(
             {
-                "pipeline": "columnar" if columnar else "scalar",
+                "pipeline": "columnar",
+                "batch_size": batch_size,
                 "seconds": elapsed,
                 "edges_per_sec": ensemble_elements / elapsed,
                 "estimate": fused.estimate,
             }
         )
 
-    if estimates[False] != estimates[True]:
-        print("perf-smoke: mirror-mode bit-equality violated between pipelines")
+    if estimates[DEFAULT_BATCH_SIZE] != estimates[7]:
+        print("perf-smoke: mirror-mode bit-equality violated between batch sizes")
         return 1
 
     path = emit_json(
@@ -177,10 +183,13 @@ def main() -> int:
         print(f"perf-smoke: emitted JSON failed schema validation: {error}")
         return 1
     print(
-        f"perf-smoke: ok (m={graph.m}, scalar {rows[0]['edges_per_sec']:,.0f} e/s, "
-        f"columnar {rows[1]['edges_per_sec']:,.0f} e/s) -> {path}"
+        f"perf-smoke: ok (m={graph.m}, batch {DEFAULT_BATCH_SIZE} "
+        f"{rows[0]['edges_per_sec']:,.0f} e/s, batch 7 "
+        f"{rows[1]['edges_per_sec']:,.0f} e/s) -> {path}"
     )
-    return disk_ingestion_smoke(graph, pattern, copies, trials, estimates[True])
+    return disk_ingestion_smoke(
+        graph, pattern, copies, trials, estimates[DEFAULT_BATCH_SIZE]
+    )
 
 
 if __name__ == "__main__":

@@ -152,7 +152,7 @@ def doulion_count(
     stream.reset_pass_count()
     estimator = DoulionEstimator(stream.n, keep_probability, pattern, rng)
     estimator.begin_pass(0)
-    for chunk in pass_batches(stream, columnar=False):
+    for chunk in pass_batches(stream):
         estimator.ingest_batch(chunk)
     estimator.end_pass()
     result = estimator.result()

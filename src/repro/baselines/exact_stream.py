@@ -95,7 +95,7 @@ def exact_stream_count(stream: EdgeStream, pattern: Pattern) -> EstimateResult:
     stream.reset_pass_count()
     estimator = ExactStreamEstimator(stream.n, pattern)
     estimator.begin_pass(0)
-    for chunk in pass_batches(stream, columnar=False):
+    for chunk in pass_batches(stream):
         estimator.ingest_batch(chunk)
     estimator.end_pass()
     return estimator.result()

@@ -164,7 +164,7 @@ def triest_count(
     stream.reset_pass_count()
     estimator = TriestEstimator(capacity, rng)
     estimator.begin_pass(0)
-    for chunk in pass_batches(stream, columnar=False):
+    for chunk in pass_batches(stream):
         estimator.ingest_batch(chunk)
     estimator.end_pass()
     result = estimator.result()

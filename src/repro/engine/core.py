@@ -41,9 +41,8 @@ runs once.  Whether *later passes* also reuse the decoded batches is
 the stream's batch-cache policy's call (:mod:`repro.streams.cache`,
 engine knob ``cache=``): ``"all"`` retains everything (the in-memory
 default), ``"lru:<bytes>"`` a bounded working set (disk streams
-bigger than RAM), ``"none"`` nothing.  ``columnar=False`` restores
-the historical per-pass tuple decode as a reference path; results
-are identical across all of these.
+bigger than RAM), ``"none"`` nothing.  Results are identical across
+all of these.
 
 The engine runs on one of three execution backends
 (:class:`EngineBackend`): ``serial`` dispatches in-process; ``thread``
@@ -67,9 +66,9 @@ from repro.streams.stream import (
     pass_batches,
 )
 
-#: What the engine dispatches to estimators: a run of decoded elements —
-#: a columnar :class:`~repro.streams.batch.EdgeBatch` on the default
-#: pipeline, or a plain list of tuples on the scalar reference path.
+#: What the engine dispatches to estimators: a run of decoded elements,
+#: in practice a columnar :class:`~repro.streams.batch.EdgeBatch`
+#: (which also iterates as ``(u, v, delta, edge)`` tuples).
 DecodedBatch = Sequence[DecodedUpdate]
 
 #: Default updates per dispatched batch — the same knob as the
@@ -82,9 +81,8 @@ def apply_cache_policy(stream, cache) -> None:
     """Apply a batch-cache spec to *stream* if one was requested.
 
     ``None`` leaves the stream's own policy in place.  Streams without
-    a policy surface (:class:`~repro.engine.parallel.StreamHandle`,
-    bare iterables on the scalar path) only reject a non-``None``
-    request.
+    a policy surface (:class:`~repro.engine.parallel.StreamHandle`)
+    only reject a non-``None`` request.
     """
     if cache is None:
         return
@@ -187,13 +185,6 @@ class StreamEngine:
     start_method:
         Multiprocessing start method for the process backend (``None``:
         ``fork`` where available, else ``spawn``).
-    columnar:
-        Whether passes are dispatched as columnar
-        :class:`~repro.streams.batch.EdgeBatch` objects (the default)
-        or as the scalar tuple lists of the historical pipeline.
-        Results are identical either way — the flag exists so the
-        benchmarks and equivalence tests can pin the scalar reference
-        path.
     cache:
         Batch-cache policy applied to the stream before the run — any
         spec of :func:`~repro.streams.cache.resolve_cache_policy`
@@ -222,7 +213,6 @@ class StreamEngine:
         backend: str = EngineBackend.SERIAL,
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
-        columnar: bool = True,
         cache=None,
         on_worker_loss: str = "abort",
         fault_plan=None,
@@ -249,7 +239,6 @@ class StreamEngine:
         self._backend = backend
         self._workers = workers
         self._start_method = start_method
-        self._columnar = columnar
         self._cache = cache
         self._on_worker_loss = on_worker_loss
         self._fault_plan = fault_plan
@@ -364,7 +353,6 @@ class StreamEngine:
                 start_method=self._start_method,
                 reset_pass_count=self._reset_pass_count,
                 max_passes=self._max_passes,
-                columnar=self._columnar,
                 cache=self._cache,
                 on_worker_loss=self._on_worker_loss,
                 fault_plan=self._fault_plan,
@@ -391,7 +379,7 @@ class StreamEngine:
                 )
             for estimator in active:
                 estimator.begin_pass(passes)
-            for batch in pass_batches(self._stream, self._batch_size, self._columnar):
+            for batch in pass_batches(self._stream, self._batch_size):
                 elements += len(batch)
                 for estimator in active:
                     estimator.ingest_batch(batch)

@@ -135,9 +135,6 @@ class RoundAdaptiveEstimator:
         self._state = self._oracle.begin_batch(merged)
 
     def ingest_batch(self, batch: DecodedBatch) -> None:
-        # Forwarded verbatim: the pass states accept both columnar
-        # EdgeBatch objects and scalar tuple lists (see
-        # repro.transform.insertion / .turnstile).
         state = self._state
         if state is None:
             raise EngineError(f"estimator {self.name!r}: ingest_batch outside an open pass")

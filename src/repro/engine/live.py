@@ -733,10 +733,6 @@ class LiveEngine:
         Dispatch granularity: a fed chunk is re-split into batches of
         this size before reaching the estimators (results are invariant
         to it, as everywhere in the engine).
-    columnar:
-        Dispatch :class:`~repro.streams.batch.EdgeBatch` columns (the
-        default) or scalar decoded tuples (the bit-equality reference
-        path).
     backend:
         ``"serial"`` (default), ``"thread"`` or ``"process"``
         (persistent worker pool; see module docstring).
@@ -774,7 +770,6 @@ class LiveEngine:
         n: int,
         allow_deletions: bool = False,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        columnar: bool = True,
         backend: str = EngineBackend.SERIAL,
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
@@ -802,7 +797,6 @@ class LiveEngine:
             )
         self._journal = UpdateJournal(n, allow_deletions)
         self._batch_size = batch_size
-        self._columnar = bool(columnar)
         self._backend = backend
         self._workers = workers
         self._start_method = start_method
@@ -1093,11 +1087,10 @@ class LiveEngine:
         for start in range(0, end, self._batch_size):
             stop = min(start + self._batch_size, end)
             chunk = EdgeBatch(u[start:stop], v[start:stop], delta[start:stop])
-            payload = chunk if self._columnar else list(chunk)
             # Plain pickled sends, not the shared ring: the ring's
             # sequence numbers belong to the live feed and must not be
             # consumed by a replay only one worker needs.
-            if not pool.send(new_id, ("batch", payload)):
+            if not pool.send(new_id, ("batch", chunk)):
                 raise EngineError(
                     f"respawned worker {new_id} was lost again during "
                     "journal replay"
@@ -1157,11 +1150,10 @@ class LiveEngine:
                     chunk = EdgeBatch(
                         batch.u[start:stop], batch.v[start:stop], batch.delta[start:stop]
                     )
-                    payload = chunk if self._columnar else list(chunk)
                     if self._backend == EngineBackend.SERIAL:
                         for estimator in self._estimators:
                             if estimator.wants_pass():
-                                estimator.ingest_batch(payload)
+                                estimator.ingest_batch(chunk)
                     else:
                         # Advance the replay watermark *before* the
                         # publish: every recipient either receives
@@ -1169,7 +1161,7 @@ class LiveEngine:
                         # is respawned with it replayed from the
                         # journal — never both, never neither.
                         self._synced_elements = offset + stop
-                        self._pool.publish_batch(self._active_workers, payload)
+                        self._pool.publish_batch(self._active_workers, chunk)
             except BaseException:
                 # A dispatch failure tears the journal/estimator
                 # agreement (the journal committed updates some
@@ -1341,7 +1333,7 @@ class LiveEngine:
         passes = 0
         while estimator.wants_pass():
             estimator.begin_pass(passes)
-            for batch in pass_batches(stream, self._batch_size, self._columnar):
+            for batch in pass_batches(stream, self._batch_size):
                 estimator.ingest_batch(batch)
             estimator.end_pass()
             passes += 1
@@ -1415,7 +1407,6 @@ class LiveEngine:
                     "n": self._journal.n,
                     "allow_deletions": self._journal.allows_deletions,
                     "batch_size": self._batch_size,
-                    "columnar": self._columnar,
                     "backend": self._backend,
                     "workers": self._workers,
                     "started": self._started,
@@ -1544,7 +1535,6 @@ class LiveEngine:
                 n=config["n"],
                 allow_deletions=config["allow_deletions"],
                 batch_size=config["batch_size"],
-                columnar=config["columnar"],
                 backend=backend if backend is not None else config["backend"],
                 workers=workers if workers is not None else config["workers"],
                 start_method=start_method,

@@ -5,17 +5,12 @@ prime field GF(2^61 - 1) gives a k-wise independent family; the ℓ0-
 sampler's level assignment and fingerprint verification both build on
 it.  Python integers make the modular arithmetic exact and simple.
 
-Two evaluation paths share the same coefficients:
-
-* the scalar path (:meth:`PolynomialHash.value`) — exact Python-int
-  Horner, kept as the bit-equality reference;
-* the columnar path (:meth:`PolynomialHash.values_many`) — numpy
-  Horner over ``uint64`` arrays, where each modular product is
-  computed exactly via 32-bit limb splitting (:func:`mulmod_vec`).
-  ``2^61 ≡ 1 (mod p)`` makes the limb recombination a few shifts.
-
-Both paths return identical field elements for identical inputs; the
-fuzz tests in ``tests/test_vectorized_equivalence.py`` pin this down.
+:meth:`PolynomialHash.value` is the exact Python-int Horner
+evaluation.  The ℓ0 bank (:class:`~repro.sketch.l0.L0Bank`) runs the
+same field arithmetic over ``uint64`` arrays with the kernels below:
+each modular product is computed exactly via 32-bit limb splitting
+(:func:`mulmod_vec`), and ``2^61 ≡ 1 (mod p)`` makes the limb
+recombination a few shifts.
 """
 
 from __future__ import annotations
@@ -145,13 +140,12 @@ class PolynomialHash:
     walks them in storage order (no per-call ``reversed()``).
     """
 
-    __slots__ = ("_coefficients", "_coefficients_vec")
+    __slots__ = ("_coefficients",)
 
     def __init__(self, independence: int, rng: RandomSource = None) -> None:
         if independence < 1:
             raise ValueError(f"independence must be >= 1, got {independence}")
         self._coefficients = draw_coefficients(independence, ensure_rng(rng))
-        self._coefficients_vec = np.array(self._coefficients, dtype=np.uint64)
 
     @property
     def independence(self) -> int:
@@ -191,7 +185,6 @@ class PolynomialHash:
             int(c) for c in state_field("PolynomialHash", state, "coefficients")
         )
         self._coefficients = coefficients
-        self._coefficients_vec = np.array(coefficients, dtype=np.uint64)
 
     def value(self, item: int) -> int:
         """Raw hash value in ``[0, MERSENNE_PRIME)`` (Horner evaluation)."""
@@ -199,20 +192,6 @@ class PolynomialHash:
         x = item % MERSENNE_PRIME
         for coefficient in self._coefficients:
             accumulator = (accumulator * x + coefficient) % MERSENNE_PRIME
-        return accumulator
-
-    def values_many(self, items) -> np.ndarray:
-        """Raw hash values for a batch of items, as a ``uint64`` array.
-
-        Bit-identical to calling :meth:`value` per item: the batched
-        Horner runs the same exact field arithmetic via
-        :func:`mulmod_vec`.
-        """
-        x = np.ascontiguousarray(items, dtype=np.uint64) % _P
-        coefficients = self._coefficients_vec
-        accumulator = np.full_like(x, coefficients[0])
-        for coefficient in coefficients[1:]:
-            accumulator = addmod_vec(mulmod_vec(accumulator, x), coefficient)
         return accumulator
 
     def to_range(self, item: int, size: int) -> int:
@@ -240,36 +219,3 @@ class PolynomialHash:
                 break
             level += 1
         return level
-
-    def levels_many(self, items, max_level: int) -> np.ndarray:
-        """Geometric levels for a batch of items (matches :meth:`level`).
-
-        The scalar loop halves ``MERSENNE_PRIME`` down and stops at the
-        first threshold the hash reaches, so ``level = #{k in [1,
-        max_level] : raw < p >> k}`` (the thresholds are decreasing, so
-        the satisfied set is a prefix).  A ``searchsorted`` against the
-        ascending threshold array counts that prefix per item.
-        """
-        raw = self.values_many(items)
-        if max_level < 1:
-            return np.zeros_like(raw, dtype=np.int64)
-        thresholds = np.array(
-            [MERSENNE_PRIME >> k for k in range(max_level, 0, -1)], dtype=np.uint64
-        )
-        below = np.searchsorted(thresholds, raw, side="right")
-        return (max_level - below).astype(np.int64)
-
-
-def split_sum(values: np.ndarray) -> int:
-    """Exact Python-int sum of a ``uint64`` array of values < 2^61.
-
-    ``np.sum`` on ``uint64`` silently wraps once the total passes
-    2^64 (nine 61-bit terms suffice); summing the 32-bit limbs
-    separately keeps every partial sum far below the wrap for any
-    realistic batch, and the recombination is exact Python-int math.
-    """
-    if not values.size:
-        return 0
-    high = int((values >> _U32).sum(dtype=np.uint64))
-    low = int((values & _MASK32).sum(dtype=np.uint64))
-    return (high << 32) + low

@@ -22,7 +22,7 @@ state — the bound of Theorem 9.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -91,7 +91,6 @@ class InsertionPassState:
         "_edge_count",
         "_edge_bank",
         "_neighbor_banks",
-        "_columnar_ready",
         "_degree_members",
         "_degree_accumulator",
         "_arrival_members",
@@ -153,18 +152,33 @@ class InsertionPassState:
         self._present_pairs: Set[Tuple[int, int]] = set()
         self._edge_count = 0
 
-        self._n = oracle._stream.n
-        # Columnar-path lookup structures (vertex-membership filters,
-        # sorted pair ids, flat accumulators) are built lazily by the
-        # first columnar batch — a scalar-fed pass never pays for
-        # them.  See _build_columnar_structures.
-        self._columnar_ready = False
+        self._n = n = oracle._stream.n
+        # Vectorized-ingest lookup structures: per-vertex membership
+        # filters (:class:`~repro.streams.batch.VertexMembership`:
+        # dense boolean gather tables for ordinary ``n``, sorted binary
+        # search on huge-universe disk graphs), the sorted adjacency-
+        # pair ids, and a compact per-watched-vertex degree accumulator
+        # that finish() folds back into the dicts.  Transient
+        # engineering scratch outside the paper's space accounting
+        # (which meters the *algorithmic* state only), never
+        # proportional to ``n`` beyond the dense-table regime.
         self._degree_members = None
         self._degree_accumulator = None
         self._arrival_members = None
         self._neighbor_members = None
         self._adjacency_ids = None
         self._adjacency_seen = None
+        if degree_vertices:
+            self._degree_members = VertexMembership(degree_vertices, n)
+            self._degree_accumulator = np.zeros(len(degree_vertices), dtype=np.int64)
+        if neighbor_watch:
+            self._arrival_members = VertexMembership(neighbor_watch, n)
+        if neighbor_positions:
+            self._neighbor_members = VertexMembership(neighbor_positions, n)
+        if adjacency_pairs:
+            ids = sorted(edge_id(a, b, n) for a, b in adjacency_pairs)
+            self._adjacency_ids = np.array(ids, dtype=np.int64)
+            self._adjacency_seen = np.zeros(len(ids), dtype=bool)
 
         # Skip-ahead banks: O(1) amortized per stream element however
         # many f1/f3 queries the batch carries (see repro.sketch.reservoir).
@@ -193,76 +207,13 @@ class InsertionPassState:
         )
         oracle.space.set_usage(self._component, words)
 
-    def ingest_batch(self, updates: Sequence[Tuple[int, int, int, Tuple[int, int]]]) -> None:
-        """Consume decoded ``(u, v, delta, edge)`` stream elements, in order.
+    def ingest_batch(self, batch: EdgeBatch) -> None:
+        """Consume one :class:`~repro.streams.batch.EdgeBatch` of the pass.
 
         Structures are independent consumers of the same ordered
-        element sequence (each bank draws from its own rng), so the
-        edge bank is fed through the batched
-        :meth:`~repro.sketch.reservoir.SkipAheadReservoirBank.offer_many`
-        and the remaining trackers share one loop that is skipped
-        entirely when no query of the pass needs it — the common
-        FGP-pass shapes (f1-only, wedge-only, adjacency-only) each hit
-        their cheap path.
-
-        Columnar :class:`~repro.streams.batch.EdgeBatch` input takes
-        the vectorized route (:meth:`_ingest_columnar`); plain decoded
-        tuple lists take the scalar reference loop below.  Both routes
-        draw randomness per reservoir bank in identical order, so they
-        produce bit-identical answers.
-        """
-        if isinstance(updates, EdgeBatch):
-            self._ingest_columnar(updates)
-            return
-        self._edge_count += len(updates)
-        if self._edge_bank.size:
-            self._edge_bank.offer_many([edge for _, _, _, edge in updates])
-
-        neighbor_banks = self._neighbor_banks
-        degree_counts = self._degree_counts
-        arrival_counts = self._arrival_counts
-        adjacency_pairs = self._adjacency_pairs
-
-        if adjacency_pairs and not (neighbor_banks or degree_counts or arrival_counts):
-            self._present_pairs.update(
-                edge for _, _, _, edge in updates if edge in adjacency_pairs
-            )
-            return
-        if not (neighbor_banks or degree_counts or arrival_counts):
-            return
-
-        neighbor_watch = self._neighbor_watch
-        captured = self._captured
-        present_pairs = self._present_pairs
-        for u, v, _, edge in updates:
-            if neighbor_banks:
-                bank = neighbor_banks.get(u)
-                if bank is not None:
-                    bank.offer(v)
-                bank = neighbor_banks.get(v)
-                if bank is not None:
-                    bank.offer(u)
-            if degree_counts:
-                if u in degree_counts:
-                    degree_counts[u] += 1
-                if v in degree_counts:
-                    degree_counts[v] += 1
-            if arrival_counts:
-                for endpoint, other in ((u, v), (v, u)):
-                    if endpoint in arrival_counts:
-                        seen = arrival_counts[endpoint]
-                        watchers = neighbor_watch[endpoint]
-                        if seen in watchers:
-                            for position in watchers[seen]:
-                                captured[position] = other
-                        arrival_counts[endpoint] = seen + 1
-            if adjacency_pairs and edge in adjacency_pairs:
-                present_pairs.add(edge)
-
-    def _ingest_columnar(self, batch: EdgeBatch) -> None:
-        """Vectorized ingestion of one columnar batch.
-
-        Every tracker becomes array work over the batch columns:
+        element sequence (each bank draws from its own rng), so every
+        tracker becomes array work over the batch columns, skipped
+        entirely when no query of the pass needs it:
 
         * the f1 edge bank skips ahead over a lazy edge view, touching
           only accepted elements;
@@ -272,15 +223,13 @@ class InsertionPassState:
           interleaved endpoint events down to watched-incident ones and
           walk only those, grouped by vertex with stream order
           preserved (stable sort) — the reservoir draws therefore
-          happen in exactly the scalar order per bank;
+          happen in exactly the per-element order per bank;
         * adjacency flags are one membership test on the batch's dense
           edge ids.
         """
         self._edge_count += len(batch)
         if self._edge_bank.size:
             self._edge_bank.offer_many(batch.edges_view())
-        if not self._columnar_ready:
-            self._build_columnar_structures()
 
         degree_members = self._degree_members
         arrival_members = self._arrival_members
@@ -316,43 +265,13 @@ class InsertionPassState:
             if mask.any():
                 self._adjacency_seen[np.searchsorted(adjacency_ids, ids[mask])] = True
 
-    def _build_columnar_structures(self) -> None:
-        """Lazily build the vectorized-path lookup structures.
-
-        Per-vertex membership filters
-        (:class:`~repro.streams.batch.VertexMembership`: dense boolean
-        gather tables for ordinary ``n``, sorted binary search on
-        huge-universe disk graphs), the sorted adjacency-pair ids, and
-        a compact per-watched-vertex degree accumulator that finish()
-        folds back into the scalar dicts.  Transient engineering
-        scratch of the columnar executor, outside the paper's space
-        accounting (which meters the *algorithmic* state only),
-        allocated exactly once by the first columnar batch — and never
-        proportional to ``n`` beyond the dense-table regime.
-        """
-        n = self._n
-        if self._degree_counts:
-            self._degree_members = VertexMembership(self._degree_counts, n)
-            self._degree_accumulator = np.zeros(
-                len(self._degree_members), dtype=np.int64
-            )
-        if self._neighbor_watch:
-            self._arrival_members = VertexMembership(self._neighbor_watch, n)
-        if self._neighbor_banks:
-            self._neighbor_members = VertexMembership(self._neighbor_banks, n)
-        if self._adjacency_pairs:
-            ids = sorted(edge_id(a, b, n) for a, b in self._adjacency_pairs)
-            self._adjacency_ids = np.array(ids, dtype=np.int64)
-            self._adjacency_seen = np.zeros(len(ids), dtype=bool)
-        self._columnar_ready = True
-
     @staticmethod
     def _offer_grouped(endpoints: np.ndarray, others: np.ndarray, consume) -> None:
         """Group watched-incident events by endpoint, preserving order.
 
         The stable sort keeps each vertex's incident arrivals in stream
         order; *consume(vertex, arrivals)* receives them as a plain int
-        list, exactly the sequence the scalar loop would have fed it.
+        list, exactly the sequence a per-element walk would feed it.
         """
         order = np.argsort(endpoints, kind="stable")
         endpoints = endpoints[order]
@@ -378,13 +297,12 @@ class InsertionPassState:
                     self._captured[position] = captured
         self._arrival_counts[vertex] = stop
 
-    def _fold_columnar_state(self) -> None:
-        """Fold columnar accumulators back into the scalar dicts (idempotent).
+    def _fold_accumulators(self) -> None:
+        """Fold the flat accumulators back into the dicts (idempotent).
 
         Called by :meth:`finish` before answering and by
         :meth:`state_dict` before capturing, so the serialized state is
-        always the backend-agnostic scalar form however the pass was
-        fed.
+        always the dict form, independent of the batch split.
         """
         if self._degree_accumulator is not None:
             accumulator = self._degree_accumulator
@@ -433,7 +351,7 @@ class InsertionPassState:
         overlays this runtime state (see
         :meth:`~repro.engine.estimators.RoundAdaptiveEstimator.load_state_dict`).
         """
-        self._fold_columnar_state()
+        self._fold_accumulators()
         return {
             "size": self._size,
             "edge_count": self._edge_count,
@@ -463,7 +381,7 @@ class InsertionPassState:
                     f"{sorted(captured)} but this pass tracks {sorted(current)}; "
                     "the pass was rebuilt from a different query batch"
                 )
-        self._fold_columnar_state()
+        self._fold_accumulators()
         self._edge_count = int(state_field("InsertionPassState", state, "edge_count"))
         self._degree_counts = {
             vertex: int(count) for vertex, count in state["degree_counts"].items()
@@ -481,7 +399,7 @@ class InsertionPassState:
 
     def finish(self) -> List[Any]:
         """Collect the batch's answers and release the pass's space."""
-        self._fold_columnar_state()
+        self._fold_accumulators()
         answers: List[Any] = [None] * self._size
         edge_bank = self._edge_bank
         for slot, position in enumerate(self._edge_positions):
@@ -560,8 +478,7 @@ class InsertionStreamOracle:
         """Answer one round's batch in a single pass over the stream.
 
         The pass runs over the stream's cached columnar batches
-        (:func:`~repro.streams.stream.pass_batches`), which is
-        bit-identical to the scalar decode it replaces.
+        (:func:`~repro.streams.stream.pass_batches`).
         """
         state = self.begin_batch(batch)
         for chunk in pass_batches(self._stream):

@@ -21,7 +21,7 @@ introduces the relaxed model (Definition 10).
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -95,7 +95,6 @@ class TurnstilePassState:
         "_degree_counts",
         "_pair_counts",
         "_edge_count",
-        "_columnar_ready",
         "_degree_members",
         "_degree_accumulator",
         "_sampler_members",
@@ -174,16 +173,22 @@ class TurnstilePassState:
         self._pair_counts: Dict[Tuple[int, int], int] = {pair: 0 for pair in adjacency_pairs}
         self._edge_count = 0
 
-        # Columnar-path lookup structures (see InsertionPassState) are
-        # built lazily by the first columnar batch; the scalar ingest
-        # loop below never touches them, and finish() folds the flat
-        # accumulators back into the dicts.
-        self._columnar_ready = False
+        # Vectorized-ingest lookup structures (see InsertionPassState);
+        # finish() folds the flat accumulators back into the dicts.
         self._degree_members = None
         self._degree_accumulator = None
         self._sampler_members = None
         self._pair_ids = None
         self._pair_accumulator = None
+        if degree_vertices:
+            self._degree_members = VertexMembership(degree_vertices, n)
+            self._degree_accumulator = np.zeros(len(degree_vertices), dtype=np.int64)
+        if self._neighbor_rows:
+            self._sampler_members = VertexMembership(self._neighbor_rows, n)
+        if adjacency_pairs:
+            ids = sorted(_edge_id(a, b, n) for a, b in adjacency_pairs)
+            self._pair_ids = np.array(ids, dtype=np.int64)
+            self._pair_accumulator = np.zeros(len(ids), dtype=np.int64)
 
         self._component = f"turnstile-pass-{pass_index}"
         words = (
@@ -195,43 +200,15 @@ class TurnstilePassState:
         )
         oracle.space.set_usage(self._component, words)
 
-    def ingest_batch(self, updates: Sequence[Tuple[int, int, int, Tuple[int, int]]]) -> None:
-        """Consume decoded ``(u, v, delta, edge)`` stream elements, in order.
-
-        Columnar :class:`~repro.streams.batch.EdgeBatch` input takes the
-        vectorized route (:meth:`_ingest_columnar`); tuple lists take
-        the scalar reference loop below.  The sketches are linear and
-        no randomness is drawn during ingestion, so both routes yield
-        bit-identical answers.
-        """
-        if isinstance(updates, EdgeBatch):
-            self._ingest_columnar(updates)
-            return
-        degree_counts = self._degree_counts
-        pair_counts = self._pair_counts
-        edge_count = self._edge_count
-        for u, v, delta, edge in updates:
-            edge_count += delta
-            if degree_counts:
-                if u in degree_counts:
-                    degree_counts[u] += delta
-                if v in degree_counts:
-                    degree_counts[v] += delta
-            if pair_counts and edge in pair_counts:
-                pair_counts[edge] += delta
-        self._edge_count = edge_count
-        if len(self._edge_bank) or len(self._neighbor_bank):
-            self._feed_banks(EdgeBatch.from_tuples(updates))
-
-    def _ingest_columnar(self, batch: EdgeBatch) -> None:
-        """Vectorized ingestion of one columnar batch.
+    def ingest_batch(self, batch: EdgeBatch) -> None:
+        """Consume one :class:`~repro.streams.batch.EdgeBatch` of the pass.
 
         Counters become filtered grouped sums into flat accumulators;
         the ℓ0-sampler banks consume the batch in :meth:`_feed_banks`.
+        The sketches are linear and no randomness is drawn during
+        ingestion, so answers are independent of the batch split.
         """
         self._edge_count += int(batch.delta.sum())
-        if not self._columnar_ready:
-            self._build_columnar_structures()
 
         degree_members = self._degree_members
         if degree_members is not None:
@@ -266,8 +243,6 @@ class TurnstilePassState:
             self._edge_bank.update(batch.edge_ids(self._n), batch.delta)
         if not len(self._neighbor_bank):
             return
-        if not self._columnar_ready:
-            self._build_columnar_structures()
         members = self._sampler_members
         endpoint, other, index = batch.events()
         hits = np.flatnonzero(members.mask(endpoint))
@@ -287,34 +262,11 @@ class TurnstilePassState:
             rows = neighbor_rows[int(vertices[slots[start]])]
             self._neighbor_bank.update(others[start:stop], deltas[start:stop], rows)
 
-    def _build_columnar_structures(self) -> None:
-        """Lazily build the vectorized-path lookup structures.
+    def _fold_accumulators(self) -> None:
+        """Fold the flat accumulators back into the dicts (idempotent).
 
-        Transient engineering scratch of the columnar executor,
-        outside the paper's space accounting (which meters the
-        algorithmic state only), allocated exactly once by the first
-        columnar batch — membership filters are scale-aware in ``n``,
-        see :meth:`InsertionPassState._build_columnar_structures`.
-        """
-        n = self._n
-        if self._degree_counts:
-            self._degree_members = VertexMembership(self._degree_counts, n)
-            self._degree_accumulator = np.zeros(
-                len(self._degree_members), dtype=np.int64
-            )
-        if self._neighbor_rows:
-            self._sampler_members = VertexMembership(self._neighbor_rows, n)
-        if self._pair_counts:
-            ids = sorted(_edge_id(a, b, n) for a, b in self._pair_counts)
-            self._pair_ids = np.array(ids, dtype=np.int64)
-            self._pair_accumulator = np.zeros(len(ids), dtype=np.int64)
-        self._columnar_ready = True
-
-    def _fold_columnar_state(self) -> None:
-        """Fold columnar accumulators back into the scalar dicts (idempotent).
-
-        Shared by :meth:`finish` and :meth:`state_dict`, so captures are
-        backend-agnostic whichever ingestion route fed the pass.
+        Shared by :meth:`finish`, :meth:`merge` and :meth:`state_dict`,
+        so captures are independent of the batch split.
         """
         if self._degree_accumulator is not None:
             accumulator = self._degree_accumulator
@@ -381,8 +333,8 @@ class TurnstilePassState:
                 other._edge_count_positions,
             ),
         )
-        self._fold_columnar_state()
-        other._fold_columnar_state()
+        self._fold_accumulators()
+        other._fold_accumulators()
         self._edge_count += other._edge_count
         for vertex, count in other._degree_counts.items():
             self._degree_counts[vertex] += count
@@ -399,7 +351,7 @@ class TurnstilePassState:
         coefficients, fingerprint bases, aggregates), read off the
         banks by :meth:`~repro.sketch.l0.L0Bank.state_dicts`.
         """
-        self._fold_columnar_state()
+        self._fold_accumulators()
         return {
             "size": self._size,
             "edge_count": self._edge_count,
@@ -430,7 +382,7 @@ class TurnstilePassState:
                 f"{len(neighbor_states)} neighbor samplers; this pass has "
                 f"{len(self._edge_bank)} / {len(self._neighbor_bank)}"
             )
-        self._fold_columnar_state()
+        self._fold_accumulators()
         self._edge_count = int(state_field("TurnstilePassState", state, "edge_count"))
         self._degree_counts = {
             vertex: int(count) for vertex, count in captured_degrees.items()
@@ -444,7 +396,7 @@ class TurnstilePassState:
 
     def finish(self) -> List[Any]:
         """Collect the batch's answers and release the pass's space."""
-        self._fold_columnar_state()
+        self._fold_accumulators()
         n = self._n
         answers: List[Any] = [None] * self._size
         for index, position in enumerate(self._edge_positions):
@@ -512,8 +464,7 @@ class TurnstileStreamOracle:
         """Answer one round's batch in a single pass over the stream.
 
         The pass runs over the stream's cached columnar batches
-        (:func:`~repro.streams.stream.pass_batches`), which is
-        bit-identical to the scalar decode it replaces.
+        (:func:`~repro.streams.stream.pass_batches`).
         """
         state = self.begin_batch(batch)
         for chunk in pass_batches(self._stream):

@@ -7,6 +7,7 @@ generators, and the uint64 dtype audit for vertex ids above 2^32
 (raw SNAP ids routinely exceed 2^31).
 """
 
+import contextlib
 import io
 
 import numpy as np
@@ -14,7 +15,6 @@ import pytest
 
 from repro.errors import StreamError
 from repro.graph import generators
-from repro.sketch.hashing import PolynomialHash
 from repro.streams.batch import EDGE_ID_MAX_N, EdgeBatch, VertexMembership, edge_id
 from repro.streams.datasets import (
     BinaryUpdateWriter,
@@ -354,22 +354,6 @@ class TestBigVertexIds:
         assert batch.hi.dtype == np.int64
         assert int(batch.hi[1]) == self.BIG + 7
 
-    def test_values_many_exact_above_2_32(self):
-        hasher = PolynomialHash(4, rng=11)
-        items = np.array(
-            [self.BIG, 2 ** 40 + 123, 2 ** 62 - 1, 7, 2 ** 31 + 1], dtype=np.uint64
-        )
-        vectorized = hasher.values_many(items)
-        scalar = [hasher.value(int(item)) for item in items.tolist()]
-        assert vectorized.tolist() == scalar
-
-    def test_levels_many_exact_above_2_32(self):
-        hasher = PolynomialHash(2, rng=13)
-        items = np.array([self.BIG + k for k in range(64)], dtype=np.uint64)
-        vectorized = hasher.levels_many(items, 20)
-        scalar = [hasher.level(int(item), 20) for item in items.tolist()]
-        assert vectorized.tolist() == scalar
-
     def test_edge_ids_exact_near_uint32_boundary(self):
         # int64 intermediates wrap past n ≈ 3.0e9; the uint64 path must
         # agree with exact Python-int edge_id right up to n = 2^32.
@@ -418,7 +402,8 @@ class TestBigVertexIds:
     def test_big_id_oracle_pass_end_to_end(self):
         # A columnar oracle pass over a stream whose ids exceed 2^32:
         # degree counters and f1 edge reservoirs must behave exactly as
-        # the scalar path (which uses Python ints throughout).
+        # the per-element reference pass (Python ints throughout).
+        from reference_passes import reference_passes
         from repro.oracle.base import DegreeQuery, EdgeCountQuery, RandomEdgeQuery
         from repro.transform.insertion import InsertionStreamOracle
 
@@ -432,19 +417,14 @@ class TestBigVertexIds:
         queries = [DegreeQuery(self.BIG), DegreeQuery(3), EdgeCountQuery(),
                    RandomEdgeQuery()]
         answers = {}
-        for columnar, batch_size in ((False, 2), (True, 2), (True, 3)):
+        for reference, batch_size in ((True, 2), (False, 2), (False, 3)):
             stream = EdgeStream(n, updates)
             oracle = InsertionStreamOracle(stream, rng=17)
-            state = oracle.begin_batch(list(queries))
-            if columnar:
-                for batch in stream.batches(batch_size):
-                    state.ingest_batch(batch)
-            else:
-                from repro.streams.stream import decoded_chunks
-
-                for chunk in decoded_chunks(stream.updates(), batch_size):
-                    state.ingest_batch(chunk)
-            answers[(columnar, batch_size)] = state.finish()
-        baseline = answers[(False, 2)]
+            with reference_passes() if reference else contextlib.nullcontext():
+                state = oracle.begin_batch(list(queries))
+            for batch in stream.batches(batch_size):
+                state.ingest_batch(batch)
+            answers[(reference, batch_size)] = state.finish()
+        baseline = answers[(True, 2)]
         assert baseline[0] == 2 and baseline[1] == 3 and baseline[2] == 4
         assert all(result == baseline for result in answers.values())

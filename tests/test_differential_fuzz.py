@@ -4,7 +4,8 @@ Randomized streams (insertion-only and turnstile, with deletions,
 re-inserted edges, adversarial chunkings) are driven through pairs of
 execution paths that the engine guarantees are **bit-identical**:
 
-* scalar vs columnar dispatch,
+* production vs per-element reference pass states
+  (``tests/reference_passes.py``),
 * arbitrary batch-size splits and cache policies,
 * fed-live (:class:`repro.engine.live.LiveEngine`) vs one-shot fused,
 * snapshot → restore → continue vs uninterrupted,
@@ -27,6 +28,7 @@ output and uploaded as an artifact on failure); tier-1 runs the fixed
 default.
 """
 
+import contextlib
 import os
 import random
 
@@ -45,6 +47,8 @@ from repro.engine.parallel import build_exact_stream, build_triest
 from repro.errors import StreamError
 from repro.patterns import pattern as zoo
 from repro.streams.stream import EdgeStream, Update
+
+from reference_passes import reference_passes
 
 pytestmark = pytest.mark.fuzz
 
@@ -104,7 +108,7 @@ def _fused(stream, pattern, rng, turnstile, **kwargs):
     return entry(stream, pattern, **kwargs)
 
 
-CASES_SCALAR = 40
+CASES_REFERENCE = 40
 CASES_CACHE = 40
 CASES_LIVE = 60
 CASES_SNAPSHOT = 40
@@ -116,27 +120,28 @@ CASES_SHARDED = 12
 CASES_SHARD_FILES = 8
 
 
-@pytest.mark.parametrize("case", range(CASES_SCALAR))
-def test_scalar_vs_columnar(case):
-    rng = case_rng(case, "scalar")
+@pytest.mark.parametrize("case", range(CASES_REFERENCE))
+def test_reference_vs_production(case):
+    rng = case_rng(case, "reference")
     turnstile = case % 2 == 1
     stream = random_stream(rng, turnstile)
     pattern = zoo.triangle() if rng.random() < 0.7 else zoo.path(3)
     seeds = [rng.randrange(1 << 30) for _ in range(2)]
     batch_a = rng.randrange(1, 64)
     batch_b = rng.randrange(1, 64)
-    columnar = _fused(
+    production = _fused(
         stream, pattern, rng, turnstile,
         copies=2, trials=6, mode=FusionMode.MIRROR, copy_rngs=list(seeds),
-        batch_size=batch_a, columnar=True,
+        batch_size=batch_a,
     )
-    scalar = _fused(
-        stream, pattern, rng, turnstile,
-        copies=2, trials=6, mode=FusionMode.MIRROR, copy_rngs=list(seeds),
-        batch_size=batch_b, columnar=False,
-    )
-    assert columnar.estimates == scalar.estimates, (
-        f"scalar/columnar divergence (case={case}, base_seed={BASE_SEED}, "
+    with reference_passes():
+        reference = _fused(
+            stream, pattern, rng, turnstile,
+            copies=2, trials=6, mode=FusionMode.MIRROR, copy_rngs=list(seeds),
+            batch_size=batch_b,
+        )
+    assert production.estimates == reference.estimates, (
+        f"reference/production divergence (case={case}, base_seed={BASE_SEED}, "
         f"batch_sizes=({batch_a}, {batch_b}))"
     )
 
@@ -182,8 +187,10 @@ def test_fed_live_vs_one_shot(case):
         n=stream.n,
         allow_deletions=turnstile,
         batch_size=rng.randrange(1, 64),
-        columnar=rng.random() < 0.75,
     )
+    # A quarter of the cases feed the live engine through the
+    # per-element reference passes.
+    on_reference = rng.random() >= 0.75
     engine.register_spec(EstimatorSpec(
         name="copy-0", factory=factory,
         kwargs=dict(pattern=pattern, trials=trials, rng=seed, name="copy-0"),
@@ -195,15 +202,16 @@ def test_fed_live_vs_one_shot(case):
         ))
     u, v, d = stream.columns()
     cuts = random_cuts(rng, len(u))
-    for a, b in zip(cuts, cuts[1:]):
-        engine.feed((u[a:b], v[a:b], d[a:b]))
-    live = engine.estimate()["copy-0"]
+    with reference_passes() if on_reference else contextlib.nullcontext():
+        for a, b in zip(cuts, cuts[1:]):
+            engine.feed((u[a:b], v[a:b], d[a:b]))
+        live = engine.estimate()["copy-0"]
     assert (live.estimate, live.successes) == (
         one_shot.copies[0].estimate,
         one_shot.copies[0].successes,
     ), (
         f"fed-live/one-shot divergence (case={case}, base_seed={BASE_SEED}, "
-        f"cuts={cuts})"
+        f"cuts={cuts}, reference={on_reference})"
     )
 
 

@@ -32,7 +32,6 @@ from repro.engine.parallel import (
     build_triest,
     leaked_shm_segments,
     run_parallel_engine,
-    run_process_engine,
 )
 from repro.errors import (
     CheckpointError,
@@ -334,8 +333,8 @@ class TestProcessWorkerLoss:
             batch_size=64,
         )
         plan = FaultPlan(seed=45).kill_worker(0, nth_batch=2)
-        report = run_process_engine(
-            stream, specs, workers=2, batch_size=64,
+        report = run_parallel_engine(
+            stream, specs, backend="process", workers=2, batch_size=64,
             on_worker_loss="degrade", fault_plan=plan,
         )
         assert report.degraded
@@ -351,8 +350,9 @@ class TestProcessWorkerLoss:
             batch_size=64,
         )
         plan = FaultPlan(seed=46).fail_shm_attach(nth=1, count=2)
-        report = run_process_engine(
-            stream, specs, workers=2, batch_size=64, fault_plan=plan
+        report = run_parallel_engine(
+            stream, specs, backend="process", workers=2, batch_size=64,
+            fault_plan=plan,
         )
         assert not report.degraded
         for name in ("t0", "t1"):

@@ -503,6 +503,44 @@ class TestCheckpointFormat:
         restored = LiveEngine.restore(path)
         assert restored.elements == 1
 
+    def test_legacy_columnar_engine_field_is_ignored(self, tmp_path):
+        # Checkpoints written before the scalar dispatch path was removed
+        # carry a "columnar" flag in the engine section (False for a
+        # scalar engine).  Restore ignores it and continues bit-identically.
+        from repro.engine.live import _encode_sections, _parse_container
+
+        _, stream = _insertion_fixture()
+        specs = _mirror_specs(fgp_insertion_estimator, patterns.triangle(), 12, [7, 8])
+
+        def build():
+            engine = LiveEngine(n=stream.n, batch_size=32)
+            engine.register_all(specs)
+            return engine
+
+        u, v, d = stream.columns()
+        cut = len(u) // 2
+        uninterrupted = build()
+        uninterrupted.feed((u, v, d))
+        expected = uninterrupted.estimate()
+
+        engine = build()
+        engine.feed((u[:cut], v[:cut], d[:cut]))
+        path = tmp_path / "ckpt.bin"
+        engine.snapshot(path)
+        engine.close()
+        _, sections = _parse_container(path.read_bytes(), str(path))
+        assert "columnar" not in sections["engine"]
+        sections["engine"]["columnar"] = False
+        path.write_bytes(_encode_sections(list(sections.items())))
+
+        restored = LiveEngine.restore(path)
+        restored.feed((u[cut:], v[cut:], d[cut:]))
+        results = restored.estimate()
+        restored.close()
+        assert sorted(results) == sorted(expected)
+        for name in expected:
+            _assert_same_result(results[name], expected[name])
+
     def test_mismatched_state_configuration_raises(self):
         from repro.baselines import TriestEstimator
 

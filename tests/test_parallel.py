@@ -55,7 +55,7 @@ from repro.engine.parallel import (
     build_triest,
     leaked_shm_segments,
     resolve_workers,
-    run_process_engine,
+    run_parallel_engine,
     shard_indices,
 )
 from repro.errors import EngineError
@@ -563,7 +563,7 @@ class TestTeardownHygiene:
         try:
             pool.gather("ready", [0])
             pool.send(0, ("begin_pass", 0))
-            for batch in pass_batches(stream, 64, True):
+            for batch in pass_batches(stream, 64):
                 pool.publish_batch([0], batch)
             pool.send(0, ("end_pass",))
             pool.gather("pass_done", [0])
@@ -615,7 +615,7 @@ class TestTeardownHygiene:
         _, stream = _insertion_fixture()
         before = set(leaked_shm_segments())
         plan = FaultPlan(seed=77).kill_worker(0, nth_batch=2)
-        report = run_process_engine(
+        report = run_parallel_engine(
             stream,
             [
                 EstimatorSpec("t0", build_triest,
@@ -623,6 +623,7 @@ class TestTeardownHygiene:
                 EstimatorSpec("t1", build_triest,
                               dict(capacity=60, rng=32, name="t1")),
             ],
+            backend="process",
             workers=2,
             batch_size=64,
             on_worker_loss="degrade",

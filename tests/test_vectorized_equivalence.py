@@ -1,8 +1,10 @@
-"""Scalar-vs-vectorized bit-equality for the columnar pipeline.
+"""Bit-equality of the columnar pipeline with its per-element references.
 
 The columnar edge-batch pipeline (``repro.streams.batch`` + the
-vectorized sketch kernels) promises *bit-identical* results to the
-scalar reference paths it accelerates.  These tests pin that promise
+vectorized sketch kernels) promises *bit-identical* results to
+per-element reference implementations that exist only in the tests
+(``tests/reference_passes.py`` for the oracle pass states,
+:class:`_ScalarL0` for the ℓ0 bank).  These tests pin that promise
 down at every layer: the field-arithmetic kernels, the batched sketch
 entry points, the oracle pass states, and the fused engine end to end
 — under seeded fuzz over batch sizes (including 0, 1, and uneven
@@ -10,6 +12,7 @@ splits of the same stream), negative turnstile deltas, and duplicate
 items inside one batch.
 """
 
+import contextlib
 import hashlib
 import math
 import pickle
@@ -41,7 +44,6 @@ from repro.sketch.hashing import (
     addmod_vec,
     mulmod_vec,
     powmod_vec,
-    split_sum,
 )
 from repro.sketch.l0 import L0Bank, L0Sampler
 from repro.sketch.onesparse import OneSparseRecovery
@@ -49,9 +51,15 @@ from repro.sketch.reservoir import SkipAheadReservoirBank
 from repro.streams.batch import EdgeBatch, sorted_member_mask
 from repro.streams.generators import turnstile_churn_stream
 from repro.streams.stream import EdgeStream, Update
-from repro.transform.insertion import InsertionStreamOracle
-from repro.transform.turnstile import TurnstileStreamOracle
+from repro.transform.insertion import InsertionPassState, InsertionStreamOracle
+from repro.transform.turnstile import TurnstilePassState, TurnstileStreamOracle
 from repro.utils.rng import derive_rng
+
+from reference_passes import (
+    ReferenceInsertionPassState,
+    ReferenceTurnstilePassState,
+    reference_passes,
+)
 
 
 class TestFieldKernels:
@@ -89,25 +97,6 @@ class TestFieldKernels:
         for i, e in enumerate(exponents.tolist()):
             assert int(out[i]) == pow(base, e, MERSENNE_PRIME)
 
-    def test_split_sum_is_exact_beyond_uint64(self):
-        # Nine 61-bit terms overflow a raw uint64 sum; split_sum must not.
-        values = np.full(64, MERSENNE_PRIME - 1, dtype=np.uint64)
-        assert split_sum(values) == 64 * (MERSENNE_PRIME - 1)
-        assert split_sum(np.array([], dtype=np.uint64)) == 0
-
-    def test_polynomial_hash_values_and_levels_match_scalar(self):
-        rng = random.Random(3)
-        for independence in (1, 2, 8):
-            hash_function = PolynomialHash(independence, rng=rng.randrange(1 << 30))
-            items = [rng.randrange(1 << 48) for _ in range(600)] + [0, MERSENNE_PRIME]
-            vec = hash_function.values_many(np.array(items, dtype=np.uint64))
-            assert [int(x) for x in vec] == [hash_function.value(i) for i in items]
-            for max_level in (0, 1, 7, 40):
-                lv = hash_function.levels_many(np.array(items, dtype=np.uint64), max_level)
-                assert [int(x) for x in lv] == [
-                    hash_function.level(i, max_level) for i in items
-                ]
-
     def test_sorted_member_mask_matches_isin(self):
         rng = np.random.default_rng(5)
         haystack = np.unique(rng.integers(0, 1000, 64)).astype(np.int64)
@@ -127,43 +116,59 @@ def _random_updates(rng, universe, count, allow_negative=True):
     return updates
 
 
+def _one_sparse_aggregates(z, updates):
+    """Exact ``(Σ delta, Σ delta·item, Σ delta·z^item mod p)`` of *updates*."""
+    return (
+        sum(delta for _, delta in updates),
+        sum(delta * item for item, delta in updates),
+        sum(delta * pow(z, item, MERSENNE_PRIME) for item, delta in updates)
+        % MERSENNE_PRIME,
+    )
+
+
+def _one_sparse_state(sketch):
+    return (sketch._weight, sketch._weighted_sum, sketch._fingerprint)
+
+
 class TestBatchedSketches:
     @pytest.mark.parametrize("universe", [1, 50, 10**6, 1 << 45])
-    def test_one_sparse_update_many_arrays_matches_scalar(self, universe):
+    def test_one_sparse_batched_updates_match_scalar(self, universe):
         rng = random.Random(universe % 997)
         scalar = OneSparseRecovery(universe, rng=5)
-        vector = OneSparseRecovery(universe, z=scalar.z)
+        batched = OneSparseRecovery(universe, z=scalar.z)
+        folded = OneSparseRecovery(universe, z=scalar.z)
         updates = _random_updates(rng, universe, 200)
-        scalar.update_many(updates)
-        items = np.array([i for i, _ in updates], dtype=np.int64)
-        deltas = np.array([d for _, d in updates], dtype=np.int64)
-        vector.update_many_arrays(items, deltas)
-        assert scalar._weight == vector._weight
-        assert scalar._weighted_sum == vector._weighted_sum
-        assert scalar._fingerprint == vector._fingerprint
-        assert scalar.recover() == vector.recover()
-
-    def test_one_sparse_large_deltas_fall_back_to_exact_scalar_path(self):
-        # max|delta| × batch beyond 2^31 would wrap the int64 limb sums;
-        # the guard must route such batches to the scalar path instead.
-        universe = 1 << 40
-        scalar = OneSparseRecovery(universe, rng=3)
-        vector = OneSparseRecovery(universe, z=scalar.z)
-        items = [(1 << 32) - 1, (1 << 32) - 1, 7]
-        deltas = [1 << 31, 1 << 31, -(1 << 62)]
-        for item, delta in zip(items, deltas):
+        for item, delta in updates:
             scalar.update(item, delta)
-        vector.update_many_arrays(
-            np.array(items, dtype=np.int64), np.array(deltas, dtype=np.int64)
-        )
-        assert scalar._weight == vector._weight
-        assert scalar._weighted_sum == vector._weighted_sum
-        assert scalar._fingerprint == vector._fingerprint
+        batched.update_many(updates)
+        folded.apply_aggregates(*_one_sparse_aggregates(folded.z, updates))
+        assert _one_sparse_state(batched) == _one_sparse_state(scalar)
+        assert _one_sparse_state(folded) == _one_sparse_state(scalar)
+        assert batched.recover() == folded.recover() == scalar.recover()
+
+    def test_one_sparse_large_deltas_stay_exact(self):
+        # Deltas and weighted sums far past int64 stay exact Python ints
+        # on every batched entry point.
+        universe = 1 << 40
+        updates = [((1 << 32) - 1, 1 << 31), ((1 << 32) - 1, 1 << 31), (7, -(1 << 62)),
+                   (7, -(1 << 62)), (7, -(1 << 62))]
+        scalar = OneSparseRecovery(universe, rng=3)
+        batched = OneSparseRecovery(universe, z=scalar.z)
+        folded = OneSparseRecovery(universe, z=scalar.z)
+        for item, delta in updates:
+            scalar.update(item, delta)
+        batched.update_many(updates)
+        folded.apply_aggregates(*_one_sparse_aggregates(folded.z, updates))
+        assert _one_sparse_state(batched) == _one_sparse_state(scalar)
+        assert _one_sparse_state(folded) == _one_sparse_state(scalar)
+        assert scalar._weight == (1 << 32) - 3 * (1 << 62)
 
     def test_one_sparse_empty_batch_is_noop(self):
         sketch = OneSparseRecovery(100, rng=1)
-        sketch.update_many_arrays(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        sketch.update_many([])
+        sketch.apply_aggregates(0, 0, 0)
         assert sketch.is_empty
+        assert _one_sparse_state(sketch) == (0, 0, 0)
 
     @pytest.mark.parametrize("split", [[200], [1, 199], [0, 77, 123], [200] * 1])
     def test_l0_update_many_arrays_matches_scalar_across_splits(self, split):
@@ -242,34 +247,40 @@ def _query_mix(rng, n):
     return batch
 
 
-def _feed(state, stream, batch_size, columnar):
-    if columnar:
-        for chunk in stream.batches(batch_size):
-            state.ingest_batch(chunk)
-    else:
-        from repro.streams.stream import decoded_chunks
-
-        for chunk in decoded_chunks(stream.updates(), batch_size):
-            state.ingest_batch(chunk)
-    return state.finish()
+def _feed(oracle, queries, stream, batch_size, reference):
+    """One pass of *queries*: ``(state_dict, answers)``."""
+    with reference_passes() if reference else contextlib.nullcontext():
+        state = oracle.begin_batch(queries)
+    for chunk in stream.batches(batch_size):
+        state.ingest_batch(chunk)
+    return state.state_dict(), state.finish()
 
 
 class TestOraclePassStates:
+    def test_reference_passes_swap_in_and_out(self):
+        stream = insertion_stream(generators.gnp(10, 0.3, rng=1), rng=2)
+        turnstile = turnstile_churn_stream(generators.gnp(10, 0.3, rng=1), churn_edges=5, rng=2)
+        oracles = (InsertionStreamOracle(stream, rng=1), TurnstileStreamOracle(turnstile, rng=1))
+        with reference_passes():
+            inside = [type(oracle.begin_batch([EdgeCountQuery()])) for oracle in oracles]
+        outside = [type(oracle.begin_batch([EdgeCountQuery()])) for oracle in oracles]
+        assert inside == [ReferenceInsertionPassState, ReferenceTurnstilePassState]
+        assert outside == [InsertionPassState, TurnstilePassState]
+
     @pytest.mark.parametrize("batch_size", [1, 3, 64, 10_000])
-    def test_insertion_pass_state_scalar_vs_columnar(self, batch_size):
+    def test_insertion_pass_state_reference_vs_production(self, batch_size):
         rng = random.Random(batch_size)
         graph = generators.gnp(40, 0.2, rng=1)
         stream = insertion_stream(graph, rng=2)
         queries = _query_mix(rng, stream.n)
-        answers = {}
-        for columnar in (False, True):
+        runs = {}
+        for reference in (True, False):
             oracle = InsertionStreamOracle(stream, rng=77)
-            state = oracle.begin_batch(queries)
-            answers[columnar] = _feed(state, stream, batch_size, columnar)
-        assert answers[False] == answers[True]
+            runs[reference] = _feed(oracle, queries, stream, batch_size, reference)
+        assert runs[True] == runs[False]
 
     @pytest.mark.parametrize("batch_size", [1, 7, 4096])
-    def test_turnstile_pass_state_scalar_vs_columnar(self, batch_size):
+    def test_turnstile_pass_state_reference_vs_production(self, batch_size):
         rng = random.Random(batch_size)
         graph = generators.gnp(30, 0.3, rng=3)
         stream = turnstile_churn_stream(graph, churn_edges=25, rng=4)
@@ -281,12 +292,11 @@ class TestOraclePassStates:
             AdjacencyQuery(0, 1),
             RandomNeighborQuery(rng.randrange(stream.n)),
         ]
-        answers = {}
-        for columnar in (False, True):
+        runs = {}
+        for reference in (True, False):
             oracle = TurnstileStreamOracle(stream, rng=31, sampler_repetitions=4)
-            state = oracle.begin_batch(queries)
-            answers[columnar] = _feed(state, stream, batch_size, columnar)
-        assert answers[False] == answers[True]
+            runs[reference] = _feed(oracle, queries, stream, batch_size, reference)
+        assert runs[True] == runs[False]
 
     def test_empty_stream_pass_state(self):
         stream = EdgeStream(5, [], allow_deletions=True)
@@ -296,93 +306,99 @@ class TestOraclePassStates:
             state.ingest_batch(chunk)
         assert state.finish() == [0, None]
 
-    def test_mixed_scalar_and_columnar_chunks_in_one_pass(self):
-        # Feeding the same pass state tuple chunks AND EdgeBatch chunks
-        # must agree with an all-scalar feed (the accumulators merge).
-        graph = generators.gnp(25, 0.3, rng=9)
-        stream = insertion_stream(graph, rng=10)
-        queries = _query_mix(random.Random(0), stream.n)
-        oracle_a = InsertionStreamOracle(stream, rng=5)
-        state_a = oracle_a.begin_batch(queries)
-        tuples = [
-            (u.u, u.v, u.delta, u.edge) for u in stream._updates
-        ]
-        half = len(tuples) // 2
-        batch_objects = list(stream.batches())  # counts one pass
-        state_a.ingest_batch(tuples[:half])
-        state_a.ingest_batch(EdgeBatch.from_tuples(tuples[half:]))
-        answers_mixed = state_a.finish()
+    @pytest.mark.parametrize("kind", ["insertion", "turnstile"])
+    def test_split_feed_matches_one_batch(self, kind):
+        # Two half EdgeBatches must leave the pass exactly where one
+        # whole batch does (the flat accumulators add up).
+        if kind == "insertion":
+            stream = insertion_stream(generators.gnp(25, 0.3, rng=9), rng=10)
+            queries = _query_mix(random.Random(0), stream.n)
 
-        oracle_b = InsertionStreamOracle(stream, rng=5)
-        state_b = oracle_b.begin_batch(queries)
-        state_b.ingest_batch(tuples)
-        assert answers_mixed == state_b.finish()
-        assert batch_objects  # cache is primed and reused
+            def make_oracle():
+                return InsertionStreamOracle(stream, rng=5)
+
+        else:
+            stream = turnstile_churn_stream(
+                generators.gnp(25, 0.3, rng=9), churn_edges=20, rng=10
+            )
+            queries = [
+                EdgeCountQuery(), RandomEdgeQuery(), DegreeQuery(3),
+                AdjacencyQuery(0, 1), RandomNeighborQuery(3), RandomNeighborQuery(7),
+            ]
+
+            def make_oracle():
+                return TurnstileStreamOracle(stream, rng=5, sampler_repetitions=3)
+
+        whole = EdgeBatch.from_updates(list(stream.updates()))
+        half = len(whole) // 2
+        runs = []
+        for parts in ([whole], [whole[:half], whole[half:]]):
+            state = make_oracle().begin_batch(queries)
+            for part in parts:
+                state.ingest_batch(part)
+            runs.append((state.state_dict(), state.finish()))
+        assert runs[0] == runs[1]
 
 
 class TestEndToEnd:
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 100_000])
-    def test_fused_insertion_scalar_vs_columnar_engine(self, batch_size):
+    def test_fused_insertion_reference_vs_production_engine(self, batch_size):
         graph = generators.barabasi_albert(150, 4, rng=11)
         stream = insertion_stream(graph, rng=12)
         results = {}
-        for columnar in (False, True):
-            engine = StreamEngine(stream, batch_size=batch_size, columnar=columnar)
+        for reference in (True, False):
+            engine = StreamEngine(stream, batch_size=batch_size)
             engine.register(
                 fgp_insertion_estimator(
                     stream, patterns.triangle(), trials=40, rng=61, name="fgp"
                 )
             )
-            results[columnar] = engine.run()["fgp"]
-        assert results[False].estimate == results[True].estimate
-        assert results[False].details == results[True].details
+            with reference_passes() if reference else contextlib.nullcontext():
+                results[reference] = engine.run()["fgp"]
+        assert results[True].estimate == results[False].estimate
+        assert results[True].details == results[False].details
 
-    def test_fused_turnstile_scalar_vs_columnar_engine(self):
+    def test_fused_turnstile_reference_vs_production_engine(self):
         graph = generators.gnp(30, 0.3, rng=13)
         stream = turnstile_churn_stream(graph, churn_edges=20, rng=14)
         results = {}
-        for columnar in (False, True):
-            engine = StreamEngine(stream, batch_size=13, columnar=columnar)
+        for reference in (True, False):
+            engine = StreamEngine(stream, batch_size=13)
             engine.register(
                 fgp_turnstile_estimator(
                     stream, patterns.triangle(), trials=8, rng=71, name="fgp"
                 )
             )
-            results[columnar] = engine.run()["fgp"]
-        assert results[False].estimate == results[True].estimate
+            with reference_passes() if reference else contextlib.nullcontext():
+                results[reference] = engine.run()["fgp"]
+        assert results[True].estimate == results[False].estimate
 
-    def test_fused_entry_point_columnar_flag_is_bit_invariant(self):
+    def test_fused_entry_point_matches_reference_passes(self):
         graph = generators.barabasi_albert(120, 4, rng=21)
         stream = insertion_stream(graph, rng=22)
-        runs = [
-            count_subgraphs_insertion_only_fused(
-                stream,
-                patterns.triangle(),
-                copies=3,
-                trials=25,
-                rng=5,
-                mode="mirror",
-                columnar=columnar,
-            )
-            for columnar in (False, True)
-        ]
+        runs = []
+        for reference in (True, False):
+            with reference_passes() if reference else contextlib.nullcontext():
+                runs.append(
+                    count_subgraphs_insertion_only_fused(
+                        stream, patterns.triangle(), copies=3, trials=25, rng=5,
+                        mode="mirror",
+                    )
+                )
         assert runs[0].estimates == runs[1].estimates
 
-    def test_fused_turnstile_entry_point_columnar_flag_is_bit_invariant(self):
+    def test_fused_turnstile_entry_point_matches_reference_passes(self):
         graph = generators.gnp(25, 0.3, rng=23)
         stream = turnstile_churn_stream(graph, churn_edges=15, rng=24)
-        runs = [
-            count_subgraphs_turnstile_fused(
-                stream,
-                patterns.triangle(),
-                copies=2,
-                trials=6,
-                rng=7,
-                mode="mirror",
-                columnar=columnar,
-            )
-            for columnar in (False, True)
-        ]
+        runs = []
+        for reference in (True, False):
+            with reference_passes() if reference else contextlib.nullcontext():
+                runs.append(
+                    count_subgraphs_turnstile_fused(
+                        stream, patterns.triangle(), copies=2, trials=6, rng=7,
+                        mode="mirror",
+                    )
+                )
         assert runs[0].estimates == runs[1].estimates
 
     def test_process_backend_ships_columnar_batches_bit_identically(self):
@@ -454,9 +470,7 @@ class TestEdgeBatch:
         assert stream.passes_used == 2
         assert all(a is b for a, b in zip(first, second))  # cached objects
         flat = [tup for batch in first for tup in batch]
-        from repro.streams.stream import decoded_chunks
-
-        reference = [tup for chunk in decoded_chunks(stream.updates(), 7) for tup in chunk]
+        reference = [(u.u, u.v, u.delta, u.edge) for u in stream.updates()]
         assert flat == reference
 
 
@@ -542,6 +556,28 @@ class TestL0Bank:
         assert [view.state_dict() for view in views] == expected
         for index, view in enumerate(views):
             assert bank.sampler(index).sample() == view.sample()
+
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [2 ** 32 + 5, 2 ** 40 + 123, 2 ** 62 - 1, 7, 2 ** 31 + 1],
+            [2 ** 32 + 5 + k for k in range(64)],
+        ],
+        ids=["mixed", "run-above-2-32"],
+    )
+    def test_matches_per_element_reference_above_2_32(self, items):
+        # The batched Horner, levels and z^item tables run on uint64
+        # limbs; at ids past 2^32 (up to 2^62 - 1) they must still agree
+        # with the exact Python-int hash and fingerprint arithmetic.
+        universe = 1 << 62
+        updates = [(item, 1) for item in items] + [(items[0], -1), (items[-1], 2)]
+        bank = L0Bank(universe, [71, 72], 2)
+        _feed_bank(bank, updates, [1, len(items) // 2])
+        references = [_ScalarL0(universe, seed, 2) for seed in (71, 72)]
+        for item, delta in updates:
+            for reference in references:
+                reference.update(item, delta)
+        assert bank.state_dicts() == [r.state_dict() for r in references]
 
     def test_all_cancelling_and_empty_batches_leave_zero_state(self):
         rng = random.Random(2)
