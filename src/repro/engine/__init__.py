@@ -4,7 +4,8 @@ Registers K independent estimators (FGP counter copies, ERS clique
 runs, TRIEST / Doulion / exact baselines) and drives them all from ONE
 iteration of each stream pass, dispatching decoded updates in
 configurable batches.  See :mod:`repro.engine.core` for the executor
-and pass-callback protocol, :mod:`repro.engine.estimators` for the
+and pass-callback protocol, :mod:`repro.engine.scheduler` for the one
+pass loop under every driver, :mod:`repro.engine.estimators` for the
 adapters, :mod:`repro.engine.fused` for the median-of-K fused counting
 entry points, :mod:`repro.engine.parallel` for the thread and process
 execution backends (the worker protocol, the shared-memory batch

@@ -44,11 +44,11 @@ default), ``"lru:<bytes>"`` a bounded working set (disk streams
 bigger than RAM), ``"none"`` nothing.  Results are identical across
 all of these.
 
-The engine runs on one of three execution backends
-(:class:`EngineBackend`): ``serial`` dispatches in-process; ``thread``
-and ``process`` shard the registered estimator *specs* across a worker
-pool while this process keeps the single stream iteration and
-publishes the decoded batches — by reference to threads, through a
+The pass loop itself is :func:`repro.engine.scheduler.run_passes`,
+the one scheduler under every driver; the :class:`EngineBackend` picks
+its transport: ``serial`` dispatches in-process, ``thread`` and
+``process`` shard the registered *specs* across a worker pool and
+publish the decoded batches — by reference to threads, through a
 shared-memory batch ring to processes (:mod:`repro.engine.parallel`).
 """
 
@@ -63,7 +63,6 @@ from repro.streams.stream import (
     DecodedUpdate,
     EdgeStream,
     check_batch_size,
-    pass_batches,
 )
 
 #: What the engine dispatches to estimators: a run of decoded elements,
@@ -129,9 +128,9 @@ class EngineBackend:
     """Where the registered estimators execute.
 
     ``SERIAL``
-        All estimators run in this process, inside the engine's own
-        dispatch loop — the default, and the only backend that accepts
-        live (pre-built) estimator objects.
+        All estimators run in this process, called by the scheduler's
+        inline transport — the default, and the only backend that
+        accepts live (pre-built) estimator objects.
     ``THREAD``
         Estimators are sharded across a pool of daemon threads running
         the same worker loop as the process backend
@@ -155,6 +154,35 @@ class EngineBackend:
     PROCESS = "process"
 
     _ALL = (SERIAL, THREAD, PROCESS)
+
+
+def check_engine_args(
+    batch_size: Optional[int] = None,
+    backend: Optional[str] = None,
+    on_worker_loss: Optional[str] = None,
+    max_passes: int = 0,
+) -> Optional[int]:
+    """Validate the knobs the engine drivers share; ``None`` skips one.
+
+    Returns the checked batch size.  Every failure is an
+    :class:`~repro.errors.EngineError`.
+    """
+    if batch_size is not None:
+        try:
+            batch_size = check_batch_size(batch_size)
+        except StreamError as error:
+            raise EngineError(str(error)) from error
+    if max_passes < 0:
+        raise EngineError(f"max_passes must be >= 0, got {max_passes}")
+    if backend is not None and backend not in EngineBackend._ALL:
+        raise EngineError(
+            f"unknown backend {backend!r}; expected one of {EngineBackend._ALL}"
+        )
+    if on_worker_loss is not None and on_worker_loss not in ("abort", "degrade"):
+        raise EngineError(
+            f"on_worker_loss must be 'abort' or 'degrade', got {on_worker_loss!r}"
+        )
+    return batch_size
 
 
 class StreamEngine:
@@ -217,31 +245,21 @@ class StreamEngine:
         on_worker_loss: str = "abort",
         fault_plan=None,
     ) -> None:
-        try:
-            batch_size = check_batch_size(batch_size)
-        except StreamError as error:
-            raise EngineError(str(error)) from error
-        if max_passes < 0:
-            raise EngineError(f"max_passes must be >= 0, got {max_passes}")
-        if backend not in EngineBackend._ALL:
-            raise EngineError(
-                f"unknown backend {backend!r}; expected one of {EngineBackend._ALL}"
-            )
-        if on_worker_loss not in ("abort", "degrade"):
-            raise EngineError(
-                f"on_worker_loss must be 'abort' or 'degrade', "
-                f"got {on_worker_loss!r}"
-            )
+        batch_size = check_engine_args(batch_size, backend, on_worker_loss, max_passes)
         self._stream = stream
         self._batch_size = batch_size
         self._reset_pass_count = reset_pass_count
         self._max_passes = max_passes
         self._backend = backend
-        self._workers = workers
-        self._start_method = start_method
         self._cache = cache
-        self._on_worker_loss = on_worker_loss
-        self._fault_plan = fault_plan
+        #: How the pool backends build their transport.
+        self._pool_options = dict(
+            workers=workers,
+            on_worker_loss=on_worker_loss,
+            start_method=start_method,
+            batch_capacity=batch_size,
+            fault_plan=fault_plan,
+        )
         self._estimators: List[Any] = []
         self._specs: List[Any] = []
         self._names: Dict[str, Any] = {}
@@ -329,70 +347,33 @@ class StreamEngine:
     def run(self) -> EngineReport:
         """Drive every registered estimator to completion.
 
-        Serial backend: iterates the stream once per fused pass and
-        feeds each decoded batch to every estimator that is still
-        consuming passes.  Thread/process backends: delegate the same
-        loop to :func:`repro.engine.parallel.run_parallel_engine`,
-        publishing each batch to the worker pool.
+        One pass scheduler (:func:`repro.engine.scheduler.run_passes`)
+        serves every backend: the serial backend calls the estimators
+        inline, the thread/process backends publish each batch to a
+        worker pool (:mod:`repro.engine.parallel`).
         """
+        from repro.engine.scheduler import InlineTransport, make_transport, run_passes
+
         if self._started or self._ran:
             raise EngineError("engine already ran; build a new one per run")
-        if self._backend != EngineBackend.SERIAL:
+        if self._backend == EngineBackend.SERIAL:
+            if not self._estimators:
+                raise EngineError("no estimators registered")
+            transport = InlineTransport(self._estimators)
+        else:
             if not self._specs:
                 raise EngineError("no estimator specs registered")
-            self._started = True
-            self._ran = True
-            from repro.engine.parallel import run_parallel_engine
-
-            return run_parallel_engine(
-                self._stream,
-                self._specs,
-                backend=self._backend,
-                workers=self._workers,
-                batch_size=self._batch_size,
-                start_method=self._start_method,
-                reset_pass_count=self._reset_pass_count,
-                max_passes=self._max_passes,
-                cache=self._cache,
-                on_worker_loss=self._on_worker_loss,
-                fault_plan=self._fault_plan,
+            transport = make_transport(
+                self._backend, self._specs, self._stream, **self._pool_options
             )
-        if not self._estimators:
-            raise EngineError("no estimators registered")
         self._started = True
-        apply_cache_policy(self._stream, self._cache)
-        if self._reset_pass_count:
-            self._stream.reset_pass_count()
-
-        passes = 0
-        elements = 0
-        dispatches = 0
-        while True:
-            active = [e for e in self._estimators if e.wants_pass()]
-            if not active:
-                break
-            if self._max_passes and passes >= self._max_passes:
-                names = ", ".join(e.name for e in active)
-                raise EngineError(
-                    f"estimators still want passes after max_passes="
-                    f"{self._max_passes}: {names}"
-                )
-            for estimator in active:
-                estimator.begin_pass(passes)
-            for batch in pass_batches(self._stream, self._batch_size):
-                elements += len(batch)
-                for estimator in active:
-                    estimator.ingest_batch(batch)
-                    dispatches += 1
-            for estimator in active:
-                estimator.end_pass()
-            passes += 1
-
-        self._ran = True
-        return EngineReport(
-            results={e.name: e.result() for e in self._estimators},
-            passes=passes,
-            elements=elements,
-            dispatches=dispatches,
-            batch_size=self._batch_size,
+        report = run_passes(
+            transport,
+            [self._stream],
+            self._batch_size,
+            self._max_passes,
+            self._cache,
+            self._reset_pass_count,
         )
+        self._ran = True
+        return report

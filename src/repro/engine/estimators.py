@@ -147,14 +147,7 @@ class RoundAdaptiveEstimator:
         the other shard replicas (see :meth:`end_pass_adopting`);
         ordinary engine loops ignore it.
         """
-        if self._state is None:
-            raise EngineError(f"estimator {self.name!r}: end_pass outside an open pass")
-        answers = self._state.finish()
-        self._state = None
-        self._rounds += 1
-        self._history.append(answers)
-        self._lockstep.dispatch(answers)
-        return answers
+        return self._close_pass("end_pass", None)
 
     def merge(self, other: "RoundAdaptiveEstimator") -> None:
         """Fold another shard replica's open pass into this one.
@@ -205,16 +198,20 @@ class RoundAdaptiveEstimator:
         answers are recorded and dispatched instead, so all replicas
         consume identical randomness next round and stay mergeable.
         """
+        self._close_pass("end_pass_adopting", list(answers))
+
+    def _close_pass(self, caller: str, adopted: Optional[list]) -> list:
+        """Finish the open pass; dispatch *adopted* or else its own answers."""
         if self._state is None:
-            raise EngineError(
-                f"estimator {self.name!r}: end_pass_adopting outside an open pass"
-            )
-        self._state.finish()
+            raise EngineError(f"estimator {self.name!r}: {caller} outside an open pass")
+        answers = self._state.finish()
+        if adopted is not None:
+            answers = adopted
         self._state = None
         self._rounds += 1
-        answers = list(answers)
         self._history.append(answers)
         self._lockstep.dispatch(answers)
+        return answers
 
     def result(self) -> Any:
         if self._lockstep.live:

@@ -52,7 +52,12 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.engine.core import DEFAULT_BATCH_SIZE, EngineBackend, StreamEngine
+from repro.engine.core import (
+    DEFAULT_BATCH_SIZE,
+    EngineBackend,
+    StreamEngine,
+    check_engine_args,
+)
 from repro.engine.estimators import (
     RoundAdaptiveEstimator,
     fgp_insertion_estimator,
@@ -140,75 +145,67 @@ def _check_fused_args(copies: int, mode: str, copy_rngs, backend: str) -> None:
         raise EstimationError(f"copies must be >= 1, got {copies}")
     if mode not in FusionMode._ALL:
         raise EngineError(f"unknown fusion mode {mode!r}; expected one of {FusionMode._ALL}")
-    if backend not in EngineBackend._ALL:
-        raise EngineError(
-            f"unknown backend {backend!r}; expected one of {EngineBackend._ALL}"
-        )
+    check_engine_args(backend=backend)
     if copy_rngs is not None and len(copy_rngs) != copies:
         raise EstimationError(
             f"copy_rngs carries {len(copy_rngs)} entries for {copies} copies"
         )
 
 
-def _run_mirror(
-    stream: EdgeStream,
-    copies: int,
-    batch_size: int,
-    copy_rngs: Sequence,
-    factory: Callable[[RandomSource, str], RoundAdaptiveEstimator],
-    spec_factory: Callable[[RandomSource, str], EstimatorSpec],
-    backend: str,
-    workers,
-    start_method,
-    cache,
-) -> tuple:
-    """Register one fully independent estimator per copy and run fused.
+#: Per kind of fused entry point: the algorithm name, the one-copy
+#: (mirror) estimator factory, and the shared-mode sampler mode/kwargs.
+_KINDS = {
+    "insertion": ("fgp-3pass-insertion", fgp_insertion_estimator, SamplerMode.AUGMENTED, {}),
+    "turnstile": ("fgp-3pass-turnstile", fgp_turnstile_estimator, SamplerMode.RELAXED, {}),
+    "two_pass": (
+        "fgp-2pass-insertion",
+        fgp_two_pass_estimator,
+        SamplerMode.AUGMENTED,
+        {"skip_empty_wedge_round": True},
+    ),
+}
 
-    With the parallel backends, registration goes through picklable
-    specs: each worker rebuilds its shard of copies from ``(pattern,
-    trials, rng)`` and the copies' full independence makes the result
-    identical to the serial backend for the same ``copy_rngs`` —
-    whatever the worker count or pool flavour.
+
+def _mirror_specs(kind: str, copy_rngs: Sequence, **factory_kwargs) -> List[EstimatorSpec]:
+    """One fully independent estimator spec ``copy-i`` per copy seed.
+
+    Mirror copies share nothing but the stream, so their estimates are
+    identical across backends for the same ``copy_rngs``, whatever the
+    worker count or pool flavour.
     """
-    engine = StreamEngine(
-        stream,
-        batch_size=batch_size,
-        backend=backend,
-        workers=workers,
-        start_method=start_method,
-        cache=cache,
-    )
-    names = [f"copy-{index}" for index in range(copies)]
-    for index, name in enumerate(names):
-        if backend != EngineBackend.SERIAL:
-            engine.register_spec(spec_factory(copy_rngs[index], name))
-        else:
-            engine.register(factory(copy_rngs[index], name))
-    report = engine.run()
-    return [report.results[name] for name in names], report
-
-
-def _run_shared(
-    stream: EdgeStream,
-    copies: int,
-    trials: int,
-    batch_size: int,
-    oracle,
-    make_generator: Callable[[int, int], object],
-    finalize_copies: Callable,
-    cache,
-) -> tuple:
-    """Merge all copies' generators into one oracle and run fused."""
-    generators = [
-        make_generator(copy, trial)
-        for copy in range(copies)
-        for trial in range(trials)
+    factory = _KINDS[kind][1]
+    return [
+        EstimatorSpec(
+            name=f"copy-{index}",
+            factory=factory,
+            kwargs=dict(factory_kwargs, rng=copy_rng, name=f"copy-{index}"),
+        )
+        for index, copy_rng in enumerate(copy_rngs)
     ]
-    estimator = RoundAdaptiveEstimator("fused", generators, oracle, finalize_copies)
-    engine = StreamEngine(stream, batch_size=batch_size, cache=cache)
-    engine.register(estimator)
-    report = engine.run()
-    return report.results["fused"], report
+
+
+def _fused_result(
+    kind: str, pattern: Pattern, mode: str, backend: str, m: int, trials: int,
+    copy_results: List[EstimateResult], report, **details,
+) -> FusedCountResult:
+    """The median-of-K result over *copy_results* of one engine run."""
+    return FusedCountResult(
+        algorithm=_KINDS[kind][0],
+        pattern=pattern.name,
+        estimate=statistics.median(result.estimate for result in copy_results),
+        copies=copy_results,
+        passes=report.passes,
+        mode=mode,
+        backend=backend,
+        m=m,
+        details=dict(
+            trials_per_copy=float(trials),
+            elements=float(report.elements),
+            batch_size=float(report.batch_size),
+            workers=float(report.workers),
+            **details,
+        ),
+    )
 
 
 def _shared_fgp_finalize(
@@ -277,12 +274,12 @@ def build_shared_fgp_shard(
     sampler_kwargs: Dict,
     sampler_repetitions: int = 8,
 ) -> RoundAdaptiveEstimator:
-    """Spec factory: one worker's shard of a shared-mode fused run.
+    """Spec factory: one shard of a shared-mode fused run.
 
-    Rebuilds, inside the worker, what :func:`_run_shared` builds in the
-    driver for the serial backend — one merged oracle plus
-    ``len(copy_indices) × trials`` sampler generators — except the
-    oracle spans only this shard's copies.  ``trial_seeds[j][t]`` seeds
+    Builds one merged oracle plus ``len(copy_indices) × trials``
+    sampler generators: on the serial backend a single shard spans
+    every copy, on the pool backends each worker builds the shard of
+    copies it hosts.  ``trial_seeds[j][t]`` seeds
     copy ``copy_indices[j]``'s trial *t* (ints from
     :func:`~repro.utils.rng.derive_seed`, or any ``RandomSource``); the
     driver derives them in global copy-major order *before* any
@@ -290,8 +287,7 @@ def build_shared_fgp_shard(
     randomness however the copies are sharded (only the per-shard
     oracle randomness depends on the worker count).
     ``sampler_mode``/``sampler_kwargs`` are forwarded verbatim from the
-    fused entry point, so the serial and sharded shared paths cannot
-    drift apart; ``kind`` only selects the oracle class
+    fused entry point; ``kind`` only selects the oracle class
     (``"turnstile"`` vs the insertion oracle).
     """
     if kind == "turnstile":
@@ -313,87 +309,72 @@ def build_shared_fgp_shard(
     return RoundAdaptiveEstimator(name, generators, oracle, finalize)
 
 
-def _run_shared_sharded(
-    stream: EdgeStream,
+def _shared_specs(
     copies: int,
     trials: int,
-    batch_size: int,
     backend: str,
     workers,
-    start_method,
     master,
     kind: str,
-    algorithm: str,
     pattern: Pattern,
-    sampler_mode: str,
-    sampler_kwargs: Dict,
     sampler_repetitions: int,
-    cache,
-) -> tuple:
-    """Shard a shared-mode run across a worker pool (thread or process).
+) -> List[EstimatorSpec]:
+    """Specs merging the copies' generators into shared oracles.
 
-    Each worker owns one merged oracle for its contiguous shard of
-    copies, so deterministic aggregates are computed once per *shard*
-    instead of once per copy — W oracles total instead of K.  Copies
-    stay independent in distribution; the estimates are a deterministic
-    function of ``(rng, copies, trials, workers)`` — identical between
-    the thread and process backends, since all randomness is derived
-    driver-side before sharding — but, unlike mirror mode, not
-    bit-identical to the serial shared run, whose single oracle spans
-    all K copies.
+    The serial backend merges all K copies into one oracle.  The pool
+    backends give each worker one merged oracle for its contiguous
+    shard of copies, so deterministic aggregates are computed once per
+    *shard* instead of once per copy — W oracles total instead of K.
+    Copies stay independent in distribution; the pooled estimates are a
+    deterministic function of ``(rng, copies, trials, workers)`` —
+    identical between the thread and process backends, since all
+    randomness is derived driver-side before sharding — but, unlike
+    mirror mode, not bit-identical to the serial shared run, whose
+    single oracle spans all K copies.
     """
-    pool = resolve_workers(workers, copies)
-    shards = shard_indices(copies, pool)
-    # Sampler seeds first, in global copy-major order: their derivation
-    # consumes master bits worker-count-independently, so only the
-    # shard oracles (derived below) vary with the pool size.  Plain
-    # ints ship to the workers instead of pickled generator states.
-    trial_seeds = [
-        [derive_seed(master, f"copy-{copy}-trial-{trial}") for trial in range(trials)]
-        for copy in range(copies)
-    ]
-    oracle_seeds = [
-        derive_seed(master, f"oracle-shard-{shard}") for shard in range(len(shards))
-    ]
-    engine = StreamEngine(
-        stream,
-        batch_size=batch_size,
-        backend=backend,
-        workers=pool,
-        start_method=start_method,
-        cache=cache,
-    )
-    for shard, indices in enumerate(shards):
-        engine.register_spec(
-            EstimatorSpec(
+    algorithm, _, sampler_mode, sampler_kwargs = _KINDS[kind]
+    if backend == EngineBackend.SERIAL:
+        # One oracle over every copy; the oracle draws first, which is
+        # the serial shared run's bit-stream.
+        shards = [list(range(copies))]
+        oracle_seeds = [derive_rng(master, "oracle")]
+        trial_seeds = [
+            [derive_rng(master, f"copy-{copy}-trial-{trial}") for trial in range(trials)]
+            for copy in range(copies)
+        ]
+    else:
+        shards = shard_indices(copies, resolve_workers(workers, copies))
+        # Sampler seeds first, in global copy-major order: their
+        # derivation consumes master bits worker-count-independently,
+        # so only the shard oracles vary with the pool size.  Plain
+        # ints ship to the workers instead of pickled generator states.
+        trial_seeds = [
+            [derive_seed(master, f"copy-{copy}-trial-{trial}") for trial in range(trials)]
+            for copy in range(copies)
+        ]
+        oracle_seeds = [
+            derive_seed(master, f"oracle-shard-{shard}") for shard in range(len(shards))
+        ]
+    return [
+        EstimatorSpec(
+            name=f"shard-{shard}",
+            factory=build_shared_fgp_shard,
+            kwargs=dict(
+                kind=kind,
+                algorithm=algorithm,
+                pattern=pattern,
+                trials=trials,
+                copy_indices=indices,
+                trial_seeds=[trial_seeds[copy] for copy in indices],
+                oracle_seed=oracle_seeds[shard],
                 name=f"shard-{shard}",
-                factory=build_shared_fgp_shard,
-                kwargs=dict(
-                    kind=kind,
-                    algorithm=algorithm,
-                    pattern=pattern,
-                    trials=trials,
-                    copy_indices=indices,
-                    trial_seeds=[trial_seeds[copy] for copy in indices],
-                    oracle_seed=oracle_seeds[shard],
-                    name=f"shard-{shard}",
-                    sampler_mode=sampler_mode,
-                    sampler_kwargs=sampler_kwargs,
-                    sampler_repetitions=sampler_repetitions,
-                ),
-            )
+                sampler_mode=sampler_mode,
+                sampler_kwargs=sampler_kwargs,
+                sampler_repetitions=sampler_repetitions,
+            ),
         )
-    report = engine.run()
-    copy_results = [
-        result
-        for shard in range(len(shards))
-        for result in report.results[f"shard-{shard}"]
+        for shard, indices in enumerate(shards)
     ]
-    ensemble_space = sum(
-        int(report.results[f"shard-{shard}"][0].details["shard_space_words"])
-        for shard in range(len(shards))
-    )
-    return copy_results, report, ensemble_space
 
 
 def _fused_fgp_count(
@@ -412,21 +393,15 @@ def _fused_fgp_count(
     workers,
     start_method,
     kind: str,
-    algorithm: str,
-    mirror_factory: Callable,
-    mirror_spec_factory: Callable,
-    shared_oracle_factory: Callable,
-    sampler_mode: str,
-    sampler_kwargs: Dict,
     sampler_repetitions: int = 8,
     cache=None,
 ) -> FusedCountResult:
     """Common driver behind the three fused entry points."""
     _check_fused_args(copies, mode, copy_rngs, backend)
+    algorithm = _KINDS[kind][0]
     master = ensure_rng(rng)
     k = resolve_trials(stream, pattern, epsilon, lower_bound, trials, param_mode)
 
-    ensemble_space = None
     if mode == FusionMode.MIRROR:
         if copy_rngs is None:
             # Derive *seeds*, not generators: Random(derive_seed(...))
@@ -437,82 +412,37 @@ def _fused_fgp_count(
         # Every copy gets the already-resolved budget k, so the
         # reported trials_per_copy cannot drift from what the copies
         # actually ran (and resolve_trials runs once, not K+1 times).
-        copy_results, report = _run_mirror(
-            stream,
-            copies,
-            batch_size,
-            copy_rngs,
-            lambda copy_rng, name: mirror_factory(copy_rng, name, k),
-            lambda copy_rng, name: mirror_spec_factory(copy_rng, name, k),
-            backend,
-            workers,
-            start_method,
-            cache,
-        )
-    elif backend != EngineBackend.SERIAL:
-        if copy_rngs is not None:
-            raise EngineError("copy_rngs is a mirror-mode parameter; shared mode derives from rng")
-        copy_results, report, ensemble_space = _run_shared_sharded(
-            stream,
-            copies,
-            k,
-            batch_size,
-            backend,
-            workers,
-            start_method,
-            master,
-            kind,
-            algorithm,
-            pattern,
-            sampler_mode,
-            sampler_kwargs,
-            sampler_repetitions,
-            cache,
-        )
+        factory_kwargs = dict(pattern=pattern, trials=k)
+        if kind == "turnstile":
+            factory_kwargs["sampler_repetitions"] = sampler_repetitions
+        specs = _mirror_specs(kind, copy_rngs, **factory_kwargs)
+    elif copy_rngs is not None:
+        raise EngineError("copy_rngs is a mirror-mode parameter; shared mode derives from rng")
     else:
-        if copy_rngs is not None:
-            raise EngineError("copy_rngs is a mirror-mode parameter; shared mode derives from rng")
-        oracle = shared_oracle_factory(derive_rng(master, "oracle"))
-
-        def make_generator(copy: int, trial: int):
-            return subgraph_sampler_rounds(
-                pattern,
-                rng=derive_rng(master, f"copy-{copy}-trial-{trial}"),
-                mode=sampler_mode,
-                **sampler_kwargs,
-            )
-
-        copy_results, report = _run_shared(
-            stream,
-            copies,
-            k,
-            batch_size,
-            oracle,
-            make_generator,
-            _shared_fgp_finalize(stream, pattern, range(copies), k, oracle, algorithm),
-            cache,
+        specs = _shared_specs(
+            copies, k, backend, workers, master, kind, pattern, sampler_repetitions
         )
-        ensemble_space = oracle.space.peak_words
-
-    median = statistics.median(result.estimate for result in copy_results)
-    details = {
-        "trials_per_copy": float(k),
-        "elements": float(report.elements),
-        "batch_size": float(report.batch_size),
-        "workers": float(report.workers),
-    }
-    if ensemble_space is not None:
-        details["ensemble_space_words"] = float(ensemble_space)
-    return FusedCountResult(
-        algorithm=algorithm,
-        pattern=pattern.name,
-        estimate=median,
-        copies=copy_results,
-        passes=report.passes,
-        mode=mode,
+    engine = StreamEngine(
+        stream,
+        batch_size=batch_size,
         backend=backend,
-        m=stream.net_edge_count,
-        details=details,
+        workers=workers,
+        start_method=start_method,
+        cache=cache,
+    )
+    for spec in specs:
+        engine.register_spec(spec)
+    report = engine.run()
+    results = [report.results[spec.name] for spec in specs]
+    details = {}
+    if mode == FusionMode.SHARED:
+        # Each shard reports its copies plus its oracle's metered space.
+        details["ensemble_space_words"] = float(
+            sum(int(shard[0].details["shard_space_words"]) for shard in results)
+        )
+        results = [result for shard in results for result in shard]
+    return _fused_result(
+        kind, pattern, mode, backend, stream.net_edge_count, k, results, report, **details
     )
 
 
@@ -551,23 +481,6 @@ def count_subgraphs_insertion_only_fused(
     across the two parallel backends, but a different bit-stream than
     the serial shared run).
     """
-
-    def mirror_factory(copy_rng, name, resolved_trials):
-        return fgp_insertion_estimator(
-            stream,
-            pattern,
-            trials=resolved_trials,
-            rng=copy_rng,
-            name=name,
-        )
-
-    def mirror_spec_factory(copy_rng, name, resolved_trials):
-        return EstimatorSpec(
-            name=name,
-            factory=fgp_insertion_estimator,
-            kwargs=dict(pattern=pattern, trials=resolved_trials, rng=copy_rng, name=name),
-        )
-
     return _fused_fgp_count(
         stream,
         pattern,
@@ -584,12 +497,6 @@ def count_subgraphs_insertion_only_fused(
         workers,
         start_method,
         "insertion",
-        "fgp-3pass-insertion",
-        mirror_factory,
-        mirror_spec_factory,
-        lambda oracle_rng: InsertionStreamOracle(stream, oracle_rng),
-        SamplerMode.AUGMENTED,
-        {},
         cache=cache,
     )
 
@@ -619,30 +526,6 @@ def count_subgraphs_turnstile_fused(
     the copies stay independent.  Backend semantics as in
     :func:`count_subgraphs_insertion_only_fused`.
     """
-
-    def mirror_factory(copy_rng, name, resolved_trials):
-        return fgp_turnstile_estimator(
-            stream,
-            pattern,
-            trials=resolved_trials,
-            rng=copy_rng,
-            sampler_repetitions=sampler_repetitions,
-            name=name,
-        )
-
-    def mirror_spec_factory(copy_rng, name, resolved_trials):
-        return EstimatorSpec(
-            name=name,
-            factory=fgp_turnstile_estimator,
-            kwargs=dict(
-                pattern=pattern,
-                trials=resolved_trials,
-                rng=copy_rng,
-                sampler_repetitions=sampler_repetitions,
-                name=name,
-            ),
-        )
-
     return _fused_fgp_count(
         stream,
         pattern,
@@ -659,14 +542,6 @@ def count_subgraphs_turnstile_fused(
         workers,
         start_method,
         "turnstile",
-        "fgp-3pass-turnstile",
-        mirror_factory,
-        mirror_spec_factory,
-        lambda oracle_rng: TurnstileStreamOracle(
-            stream, oracle_rng, sampler_repetitions=sampler_repetitions
-        ),
-        SamplerMode.RELAXED,
-        {},
         sampler_repetitions=sampler_repetitions,
         cache=cache,
     )
@@ -695,22 +570,6 @@ def count_subgraphs_two_pass_fused(
     """
     require_star_decomposable(pattern)
 
-    def mirror_factory(copy_rng, name, resolved_trials):
-        return fgp_two_pass_estimator(
-            stream,
-            pattern,
-            trials=resolved_trials,
-            rng=copy_rng,
-            name=name,
-        )
-
-    def mirror_spec_factory(copy_rng, name, resolved_trials):
-        return EstimatorSpec(
-            name=name,
-            factory=fgp_two_pass_estimator,
-            kwargs=dict(pattern=pattern, trials=resolved_trials, rng=copy_rng, name=name),
-        )
-
     return _fused_fgp_count(
         stream,
         pattern,
@@ -727,11 +586,5 @@ def count_subgraphs_two_pass_fused(
         workers,
         start_method,
         "two_pass",
-        "fgp-2pass-insertion",
-        mirror_factory,
-        mirror_spec_factory,
-        lambda oracle_rng: InsertionStreamOracle(stream, oracle_rng),
-        SamplerMode.AUGMENTED,
-        {"skip_empty_wedge_round": True},
         cache=cache,
     )

@@ -40,11 +40,11 @@ journal, so a restored engine can still answer multi-pass queries.
 
 Execution backends
 ------------------
-``backend="serial"`` runs the estimators in-process.
-``backend="thread"`` / ``backend="process"`` shard the registered
-specs across a persistent worker pool (the same worker protocol as
-:mod:`repro.engine.parallel`, extended with ``state_dict`` /
-``load_state`` commands): ``feed`` publishes each batch — by
+The engine holds one transport of :mod:`repro.engine.scheduler`:
+inline for ``backend="serial"``; for ``"thread"`` / ``"process"`` a
+persistent worker pool (the worker protocol of
+:mod:`repro.engine.parallel`, with ``state_dict`` / ``load_state``
+commands).  ``feed`` hands each batch to it — by
 reference to threads, through the shared-memory batch ring to
 processes — ``snapshot`` gathers every shard's states driver-side,
 and a checkpoint taken under one backend restores under any other —
@@ -72,8 +72,9 @@ torn write, truncation, or bit-flip into a typed
 :class:`~repro.errors.CheckpointError` naming the damaged section
 (swept exhaustively in ``tests/test_checkpoint_corruption.py``);
 :func:`checkpoint_manifest` exposes the byte layout those drills
-target.  Version-1 checkpoints (magic + one bare pickled document)
-are still read.  Pickle is what lets estimator specs (factory
+target.  Legacy version-1 files (magic + one bare pickled document)
+are refused with a typed error before anything is unpickled.  Pickle
+is what lets estimator specs (factory
 references, pattern objects) and rng states round-trip exactly, but a
 restore never executes checkpoint bytes: payloads are read by a
 restricted unpickler whose allow-list names only the globals those
@@ -126,25 +127,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.core import DEFAULT_BATCH_SIZE, EngineBackend
-from repro.engine.parallel import (
-    DEFAULT_REPLY_TIMEOUT,
-    EstimatorSpec,
-    StreamHandle,
-    make_worker_pool,
-    resolve_workers,
-    shard_indices,
-)
+from repro.engine.core import DEFAULT_BATCH_SIZE, EngineBackend, check_engine_args
+from repro.engine.parallel import DEFAULT_REPLY_TIMEOUT, EstimatorSpec, MetadataStream
+from repro.engine.scheduler import InlineTransport, make_transport, run_passes
 from repro.errors import CheckpointError, EngineError, EstimationError, StreamError
 from repro.faults.plan import FaultPlan, fire as fire_fault
 from repro.graph.graph import normalize_edge
 from repro.streams.batch import EdgeBatch
-from repro.streams.stream import (
-    ColumnEdgeStream,
-    Update,
-    check_batch_size,
-    pass_batches,
-)
+from repro.streams.stream import ColumnEdgeStream, Update
 from repro.utils.retry import RetryPolicy, retry_call
 
 __all__ = [
@@ -163,7 +153,6 @@ logger = logging.getLogger("repro.engine.live")
 CHECKPOINT_MAGIC = b"REPROLIVE1\n"
 
 #: Current checkpoint container version (bumped on layout changes).
-#: Version 1 (magic + one bare pickled document) is still readable.
 CHECKPOINT_VERSION = 2
 
 #: Delta snapshots per full base before the chain rotates.
@@ -215,20 +204,12 @@ def _as_update_columns(updates) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     deltas: List[int] = []
     for element in updates:
         if isinstance(element, Update):
-            us.append(element.u)
-            vs.append(element.v)
-            deltas.append(element.delta)
-            continue
-        if len(element) == 2:
-            u, v = element
-            delta = 1
-        elif len(element) >= 3:
-            u, v, delta = element[0], element[1], element[2]
-        else:
+            element = (element.u, element.v, element.delta)
+        if len(element) < 2:
             raise StreamError(f"cannot interpret update element {element!r}")
-        us.append(int(u))
-        vs.append(int(v))
-        deltas.append(int(delta))
+        us.append(int(element[0]))
+        vs.append(int(element[1]))
+        deltas.append(int(element[2]) if len(element) >= 3 else 1)
     return (
         np.array(us, dtype=np.int64),
         np.array(vs, dtype=np.int64),
@@ -328,28 +309,31 @@ def _unpickle(data: bytes, path: str, what: str) -> Any:
         ) from error
 
 
-def _parse_container(blob: bytes, path: str) -> Tuple[int, Dict[str, Any]]:
-    """Parse a checkpoint file's bytes into ``(version, {name: payload})``.
+def _walk_sections(blob: bytes, path: str) -> Tuple[int, List[Dict[str, Any]]]:
+    """Split a checkpoint's bytes into ``(version, section records)``.
 
-    Verifies the magic, the container version, every section CRC, and
-    that no trailing bytes follow the last section; any violation is a
-    :class:`~repro.errors.CheckpointError` naming what broke.  Legacy
-    version-1 files (a bare pickled document after the magic) come
-    back as ``(1, {"document": ...})``.
+    Each record holds the section's ``name``, ``offset`` (where its
+    header record starts), ``payload_offset``, ``payload_length``, the
+    stored ``crc`` and the raw ``payload`` bytes; nothing is unpickled.
+    Verifies the magic, the container version, that every header field
+    fits the file, and that no trailing bytes follow the last section;
+    any violation is a :class:`~repro.errors.CheckpointError` naming
+    what broke.  A legacy version-1 file (a bare pickled document after
+    the magic) is refused here, before any of its bytes are unpickled.
     """
     buffer = io.BytesIO(blob)
-    magic = buffer.read(len(CHECKPOINT_MAGIC))
-    if magic != CHECKPOINT_MAGIC:
+    if buffer.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path!r} is not a live-engine checkpoint (bad magic)")
-    head = buffer.read(1)
-    if head == b"\x80":  # a pickle opcode: the un-sectioned v1 layout
-        return 1, {"document": _unpickle(blob[len(CHECKPOINT_MAGIC):], path, "document")}
-    buffer.seek(len(CHECKPOINT_MAGIC))
+    if blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 1] == b"\x80":
+        raise CheckpointError(
+            f"{path!r}: legacy v1 layout no longer supported (checkpoint "
+            f"version 1; this build reads version {CHECKPOINT_VERSION})"
+        )
     version = _U64.unpack(_take(buffer, 8, path, "the container version"))[0]
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path!r}: checkpoint version {version!r} is not supported "
-            f"(this build reads versions 1 and {CHECKPOINT_VERSION})"
+            f"(this build reads version {CHECKPOINT_VERSION})"
         )
     count = _U64.unpack(_take(buffer, 8, path, "the section count"))[0]
     remaining = len(blob) - buffer.tell()
@@ -358,8 +342,9 @@ def _parse_container(blob: bytes, path: str) -> Tuple[int, Dict[str, Any]]:
             f"{path!r}: section count {count} exceeds what {remaining} "
             "remaining bytes could hold (corrupt header)"
         )
-    sections: Dict[str, Any] = {}
+    records: List[Dict[str, Any]] = []
     for index in range(count):
+        offset = buffer.tell()
         name_len = _take(buffer, 1, path, f"section #{index}'s name length")[0]
         raw_name = _take(buffer, name_len, path, f"section #{index}'s name")
         try:
@@ -372,27 +357,49 @@ def _parse_container(blob: bytes, path: str) -> Tuple[int, Dict[str, Any]]:
         payload_len = _U64.unpack(
             _take(buffer, 8, path, f"section {name!r}'s payload length")
         )[0]
-        stored_crc = _U32.unpack(_take(buffer, 4, path, f"section {name!r}'s CRC"))[0]
+        crc = _U32.unpack(_take(buffer, 4, path, f"section {name!r}'s CRC"))[0]
         if payload_len > len(blob) - buffer.tell():
             raise CheckpointError(
                 f"{path!r}: truncated checkpoint while reading section "
                 f"{name!r}'s payload (wanted {payload_len} bytes, got "
                 f"{len(blob) - buffer.tell()})"
             )
-        payload = buffer.read(payload_len)
-        actual_crc = zlib.crc32(payload)
-        if actual_crc != stored_crc:
-            raise CheckpointError(
-                f"{path!r}: checkpoint section {name!r} failed its CRC32 "
-                f"check (stored 0x{stored_crc:08x}, computed "
-                f"0x{actual_crc:08x}); the file is corrupt"
-            )
-        sections[name] = _unpickle(payload, path, f"section {name!r}")
+        records.append(
+            {
+                "name": name,
+                "offset": offset,
+                "payload_offset": buffer.tell(),
+                "payload_length": payload_len,
+                "crc": crc,
+                "payload": buffer.read(payload_len),
+            }
+        )
     if buffer.read(1):
         raise CheckpointError(
             f"{path!r}: trailing bytes after the last checkpoint section "
             "(corrupt or doctored file)"
         )
+    return version, records
+
+
+def _parse_container(blob: bytes, path: str) -> Tuple[int, Dict[str, Any]]:
+    """Parse a checkpoint file's bytes into ``(version, {name: payload})``.
+
+    On top of :func:`_walk_sections`' structural checks, verifies every
+    section's CRC before its payload is unpickled.
+    """
+    version, records = _walk_sections(blob, path)
+    sections: Dict[str, Any] = {}
+    for record in records:
+        name, payload = record["name"], record["payload"]
+        actual_crc = zlib.crc32(payload)
+        if actual_crc != record["crc"]:
+            raise CheckpointError(
+                f"{path!r}: checkpoint section {name!r} failed its CRC32 "
+                f"check (stored 0x{record['crc']:08x}, computed "
+                f"0x{actual_crc:08x}); the file is corrupt"
+            )
+        sections[name] = _unpickle(payload, path, f"section {name!r}")
     return version, sections
 
 
@@ -420,50 +427,9 @@ def checkpoint_manifest(path) -> Dict[str, Any]:
     path = os.fspath(path)
     with open(path, "rb") as handle:
         blob = handle.read()
-    buffer = io.BytesIO(blob)
-    magic = buffer.read(len(CHECKPOINT_MAGIC))
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path!r} is not a live-engine checkpoint (bad magic)")
-    if buffer.read(1) == b"\x80":
-        return {
-            "path": path,
-            "version": 1,
-            "size": len(blob),
-            "sections": [
-                {
-                    "name": "document",
-                    "offset": len(CHECKPOINT_MAGIC),
-                    "payload_offset": len(CHECKPOINT_MAGIC),
-                    "payload_length": len(blob) - len(CHECKPOINT_MAGIC),
-                    "crc": None,
-                }
-            ],
-        }
-    buffer.seek(len(CHECKPOINT_MAGIC))
-    version = _U64.unpack(_take(buffer, 8, path, "the container version"))[0]
-    count = _U64.unpack(_take(buffer, 8, path, "the section count"))[0]
-    sections: List[Dict[str, Any]] = []
-    for index in range(count):
-        offset = buffer.tell()
-        name_len = _take(buffer, 1, path, f"section #{index}'s name length")[0]
-        name = _take(buffer, name_len, path, f"section #{index}'s name").decode(
-            "ascii", errors="replace"
-        )
-        payload_len = _U64.unpack(
-            _take(buffer, 8, path, f"section {name!r}'s payload length")
-        )[0]
-        crc = _U32.unpack(_take(buffer, 4, path, f"section {name!r}'s CRC"))[0]
-        payload_offset = buffer.tell()
-        _take(buffer, payload_len, path, f"section {name!r}'s payload")
-        sections.append(
-            {
-                "name": name,
-                "offset": offset,
-                "payload_offset": payload_offset,
-                "payload_length": payload_len,
-                "crc": crc,
-            }
-        )
+    version, sections = _walk_sections(blob, path)
+    for section in sections:
+        del section["payload"]
     return {"path": path, "version": version, "size": len(blob), "sections": sections}
 
 
@@ -513,22 +479,22 @@ def _delta_path(path: str, index: int) -> str:
     return f"{path}.delta.{index:05d}"
 
 
-def _remove_deltas(path: str, start_index: int = 0) -> List[str]:
-    """Delete ``<path>.delta.*`` files with index >= *start_index*.
+def _delta_chain(path: str, start_index: int = 0) -> List[str]:
+    """The consecutive ``<path>.delta.*`` files from *start_index* on.
 
-    Returns the removed paths.  Scans consecutively from
-    *start_index* — the same order restore scans — so anything a
-    restore could see is covered.
+    Scans in the order restore replays, so anything a restore could see
+    is listed.
     """
-    removed: List[str] = []
-    index = start_index
-    while True:
-        candidate = _delta_path(path, index)
-        if not os.path.exists(candidate):
-            return removed
-        os.remove(candidate)
-        removed.append(candidate)
-        index += 1
+    chain: List[str] = []
+    while os.path.exists(_delta_path(path, start_index + len(chain))):
+        chain.append(_delta_path(path, start_index + len(chain)))
+    return chain
+
+
+def _remove_deltas(path: str, start_index: int = 0) -> None:
+    """Delete ``<path>.delta.*`` files with index >= *start_index*."""
+    for delta in _delta_chain(path, start_index):
+        os.remove(delta)
 
 
 def median_estimate(results) -> float:
@@ -552,7 +518,7 @@ def median_estimate(results) -> float:
     return statistics.median(values)
 
 
-class UpdateJournal:
+class UpdateJournal(MetadataStream):
     """The validated, append-only record of everything fed so far.
 
     Doubles as the *live stream-metadata handle* the estimator
@@ -602,23 +568,11 @@ class UpdateJournal:
     def allows_deletions(self) -> bool:
         return self._allow_deletions
 
-    @property
-    def passes_used(self) -> int:
-        """Always 0: the live engine owns dispatch, not pass iteration."""
-        return 0
-
-    def reset_pass_count(self) -> None:
-        """No-op, for stream-protocol compatibility."""
-
-    def updates(self):
-        raise EngineError(
-            "the live journal cannot be iterated directly; the LiveEngine "
-            "dispatches fed batches itself — use freeze_stream() for a "
-            "replayable prefix"
-        )
-
-    def __len__(self) -> int:
-        return self._length
+    _refusal = (
+        "the live journal cannot be iterated directly; the LiveEngine "
+        "dispatches fed batches itself — use freeze_stream() for a "
+        "replayable prefix"
+    )
 
     # -- appending --------------------------------------------------------
 
@@ -778,19 +732,7 @@ class LiveEngine:
         respawn_budget: int = 2,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        try:
-            batch_size = check_batch_size(batch_size)
-        except StreamError as error:
-            raise EngineError(str(error)) from error
-        if backend not in EngineBackend._ALL:
-            raise EngineError(
-                f"unknown backend {backend!r}; expected one of {EngineBackend._ALL}"
-            )
-        if on_worker_loss not in ("abort", "degrade"):
-            raise EngineError(
-                f"on_worker_loss must be 'abort' or 'degrade', "
-                f"got {on_worker_loss!r}"
-            )
+        batch_size = check_engine_args(batch_size, backend, on_worker_loss)
         if respawn_budget < 0:
             raise EngineError(
                 f"respawn_budget must be >= 0, got {respawn_budget}"
@@ -806,10 +748,9 @@ class LiveEngine:
         self._fault_plan = fault_plan
         self._specs: List[EstimatorSpec] = []
         self._spec_names: Dict[str, EstimatorSpec] = {}
-        self._estimators: List[Any] = []
-        self._pool: Optional[Any] = None
-        self._pool_size = 0
-        self._active_workers: List[int] = []
+        #: Where the estimators run: the inline (serial) or pool
+        #: transport of :mod:`repro.engine.scheduler`, built at start.
+        self._transport: Optional[Any] = None
         self._started = False
         self._feeding = False
         self._closed = False
@@ -911,8 +852,7 @@ class LiveEngine:
         must be pinned in the kwargs (explicit ``trials=`` for the FGP
         factories); see the module docstring.
         """
-        if self._closed:
-            raise EngineError("live engine is closed")
+        self._check_open()
         if self._started:
             raise EngineError(
                 "cannot register estimators after feeding has started: the "
@@ -939,6 +879,10 @@ class LiveEngine:
 
     # -- lifecycle --------------------------------------------------------
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise EngineError("live engine is closed")
+
     def _alive_specs(self) -> List[EstimatorSpec]:
         """The registered specs whose shard has not been lost."""
         return [spec for spec in self._specs if spec.name not in self._lost_names]
@@ -960,55 +904,26 @@ class LiveEngine:
                 "every registered estimator was lost with its worker; "
                 "nothing left to start"
             )
-        if self._backend == EngineBackend.SERIAL:
-            self._estimators = [spec.build(self._journal) for spec in specs]
-            if states is None:
-                for estimator in self._estimators:
-                    if estimator.wants_pass():
-                        estimator.begin_pass(0)
-            else:
-                for estimator in self._estimators:
-                    estimator.load_state_dict(states[estimator.name])
-                self._synced_elements = self._journal.length
-            self._started = True
-            return
-        pool_size = resolve_workers(self._workers, len(specs))
-        shards = [
-            [specs[i] for i in indices]
-            for indices in shard_indices(len(specs), pool_size)
-        ]
-        handle = StreamHandle.of(self._journal)
-        self._pool = make_worker_pool(
+        self._transport = make_transport(
             self._backend,
-            shards,
-            handle,
-            self._reply_timeout,
+            specs,
+            self._journal,
+            workers=self._workers,
+            timeout=self._reply_timeout,
             start_method=self._start_method,
             batch_capacity=self._batch_size,
             fault_plan=self._fault_plan,
         )
-        self._pool_size = pool_size
         if self._on_worker_loss == "degrade":
-            self._pool.loss_handler = self._on_loss
+            self._transport.loss_handler = self._on_loss
         self._starting = True
         try:
-            wants = self._pool.gather("ready", range(pool_size))
+            self._transport.open()
             if states is None:
-                self._active_workers = [
-                    w for w in self._pool.live_ids() if wants.get(w, False)
-                ]
-                self._pool.broadcast(self._active_workers, ("begin_pass", 0))
+                self._transport.poll()
+                self._transport.begin(0)
             else:
-                shard_states = [
-                    {spec.name: states[spec.name] for spec in shard}
-                    for shard in shards
-                ]
-                for worker_id, payload in enumerate(shard_states):
-                    self._pool.send(worker_id, ("load_state", payload, True))
-                loaded = self._pool.gather("loaded", self._pool.live_ids())
-                self._active_workers = [
-                    w for w in self._pool.live_ids() if loaded.get(w, False)
-                ]
+                self._transport.load(states)
                 self._synced_elements = self._journal.length
         finally:
             self._starting = False
@@ -1018,7 +933,7 @@ class LiveEngine:
 
     def _quarantine(self, worker_id: int) -> None:
         """Write a worker's shard off permanently: the engine degrades."""
-        names = sorted(spec.name for spec in self._pool.shards[worker_id])
+        names = sorted(spec.name for spec in self._transport.pool.shards[worker_id])
         self._lost_names.update(names)
         logger.warning(
             "live engine degraded: worker %d lost with estimator(s) %s; "
@@ -1037,18 +952,16 @@ class LiveEngine:
         by a fresh worker replayed bit-exactly from the journal, or
         its shard is written off and the engine degrades.
         """
-        self._pool.discard(lost)
+        self._transport.pool.discard(lost)
+        active = self._transport.active
         for worker_id in lost:
-            was_active = worker_id in self._active_workers
+            was_active = worker_id in active
             if was_active:
-                self._active_workers.remove(worker_id)
-            if self._starting or not was_active:
-                # Mid-handshake (or a worker that never went live):
-                # there is no coherent pass state to replay into a
-                # replacement, so the shard is lost outright.
-                self._quarantine(worker_id)
-                continue
-            if self._respawns_left <= 0:
+                active.remove(worker_id)
+            if self._starting or not was_active or self._respawns_left <= 0:
+                # Mid-handshake (or a worker that never went live) there
+                # is no coherent pass state to replay into a
+                # replacement; past the budget there is no replacement.
                 self._quarantine(worker_id)
                 continue
             self._respawns_left -= 1
@@ -1073,7 +986,7 @@ class LiveEngine:
         in-flight publish the survivors are receiving right now; the
         replacement joins the active set and takes the *next* publish.
         """
-        pool = self._pool
+        pool = self._transport.pool
         new_id = pool.respawn(worker_id)
         ready = pool.gather("ready", [new_id])
         if not ready.get(new_id, False):
@@ -1082,11 +995,10 @@ class LiveEngine:
                 "did not come up ready"
             )
         pool.send(new_id, ("begin_pass", 0))
-        u, v, delta = self._journal.columns()
+        journal = EdgeBatch(*self._journal.columns())
         end = self._synced_elements
         for start in range(0, end, self._batch_size):
-            stop = min(start + self._batch_size, end)
-            chunk = EdgeBatch(u[start:stop], v[start:stop], delta[start:stop])
+            chunk = journal[start:min(start + self._batch_size, end)]
             # Plain pickled sends, not the shared ring: the ring's
             # sequence numbers belong to the live feed and must not be
             # consumed by a replay only one worker needs.
@@ -1095,7 +1007,7 @@ class LiveEngine:
                     f"respawned worker {new_id} was lost again during "
                     "journal replay"
                 )
-        self._active_workers.append(new_id)
+        self._transport.active.append(new_id)
         logger.warning(
             "worker %d lost; respawned as worker %d and replayed %d "
             "journaled element(s) (%d respawn(s) left)",
@@ -1123,8 +1035,7 @@ class LiveEngine:
         (regression-pinned across all three backends in
         ``tests/test_live_checkpoint.py``).
         """
-        if self._closed:
-            raise EngineError("live engine is closed")
+        self._check_open()
         if self._feeding:
             raise EngineError("re-entrant feed(): the engine is mid-batch")
         self._feeding = True
@@ -1134,40 +1045,24 @@ class LiveEngine:
             if not len(batch):
                 return 0
             offset = self._journal.length - len(batch)
-            if not self._started:
-                self._synced_elements = offset
-                try:
-                    self._start()
-                except BaseException:
-                    # The journal is already ahead of the (unbuilt)
-                    # estimators; no consistent continuation exists, so
-                    # poison the engine instead of serving wrong answers.
-                    self._closed = True
-                    raise
             try:
+                if not self._started:
+                    self._synced_elements = offset
+                    self._start()
                 for start in range(0, len(batch), self._batch_size):
-                    stop = min(start + self._batch_size, len(batch))
-                    chunk = EdgeBatch(
-                        batch.u[start:stop], batch.v[start:stop], batch.delta[start:stop]
-                    )
-                    if self._backend == EngineBackend.SERIAL:
-                        for estimator in self._estimators:
-                            if estimator.wants_pass():
-                                estimator.ingest_batch(chunk)
-                    else:
-                        # Advance the replay watermark *before* the
-                        # publish: every recipient either receives
-                        # this chunk from the in-flight broadcast or
-                        # is respawned with it replayed from the
-                        # journal — never both, never neither.
-                        self._synced_elements = offset + stop
-                        self._pool.publish_batch(self._active_workers, chunk)
+                    chunk = batch[start:start + self._batch_size]
+                    # Advance the replay watermark *before* the
+                    # publish: every pool worker either receives this
+                    # chunk from the in-flight broadcast or is
+                    # respawned with it replayed from the journal —
+                    # never both, never neither.
+                    self._synced_elements = offset + start + len(chunk)
+                    self._transport.ingest(0, chunk)
             except BaseException:
-                # A dispatch failure tears the journal/estimator
-                # agreement (the journal committed updates some
-                # estimator never saw); no consistent continuation
-                # exists, so poison the engine rather than serve
-                # silently wrong estimates.
+                # The journal already committed updates that some (or
+                # every, if the start failed) estimator never saw; no
+                # consistent continuation exists, so poison the engine
+                # rather than serve silently wrong estimates.
                 self._closed = True
                 raise
             return len(batch)
@@ -1175,61 +1070,6 @@ class LiveEngine:
             self._feeding = False
 
     # -- queries ----------------------------------------------------------
-
-    def _gather_states(self, names: Optional[Sequence[str]] = None) -> Dict[str, Any]:
-        """Current ``state_dict`` of the named estimators (all by default).
-
-        Serial backend: only the requested estimators serialize.  The
-        process backend gathers per shard (the worker command returns
-        its whole shard), so a subset query still touches every worker
-        but the driver keeps only what was asked for.
-
-        A worker lost mid-gather triggers recovery, which may leave
-        the round partial (a freshly respawned worker never saw this
-        round's ``state_dict`` broadcast) — so the gather re-asks the
-        surviving pool until every needed state is in hand, bounded to
-        a handful of rounds (each round can only be disrupted by
-        another loss, and losses are budgeted).
-        """
-        wanted = None if names is None else set(names)
-        if self._backend == EngineBackend.SERIAL:
-            return {
-                e.name: e.state_dict()
-                for e in self._estimators
-                if wanted is None or e.name in wanted
-            }
-        needed = {
-            spec.name
-            for spec in self._alive_specs()
-            if wanted is None or spec.name in wanted
-        }
-        states: Dict[str, Any] = {}
-        for _ in range(4):
-            # ``needed`` can drain to the empty set — every requested
-            # estimator already lost, or lost during a previous round.
-            # That is a *clean* exit here (the caller decides whether
-            # an empty/partial gather is a typed refusal; estimate()
-            # refuses), not an excuse for another broadcast round.
-            if needed <= set(states):
-                break
-            live = self._pool.live_ids()
-            self._pool.broadcast(live, ("state_dict",))
-            for payload in self._pool.gather("state", live).values():
-                for name, state in payload.items():
-                    states[name] = state
-            # Recovery during the round may have shrunk the ask.
-            needed = {name for name in needed if name not in self._lost_names}
-        else:
-            raise EngineError(
-                f"could not gather estimator state for "
-                f"{sorted(needed - set(states))} after repeated worker "
-                "losses"
-            )
-        return {
-            name: state
-            for name, state in states.items()
-            if wanted is None or name in wanted
-        }
 
     def estimate(self, names: Optional[Sequence[str]] = None) -> Dict[str, Any]:
         """Finish a *fork* of each estimator on the journaled prefix.
@@ -1243,15 +1083,14 @@ class LiveEngine:
         with the same seeds; a mid-stream estimate equals the one-shot
         run on the prefix.
         """
-        if self._closed:
-            raise EngineError("live engine is closed")
+        self._check_open()
         if self._feeding:
             raise EngineError("estimate() re-entered from a feed in flight")
         if not self._specs:
             raise EngineError("no estimator specs registered")
         selected = self._select(names)
         states = (
-            self._gather_states([spec.name for spec in selected])
+            self._transport.states([spec.name for spec in selected])
             if self._started
             else {}
         )
@@ -1280,39 +1119,32 @@ class LiveEngine:
                 "survive — restore a checkpoint taken before the losses "
                 "or open a fresh engine"
             )
+        missing = [spec.name for spec in selected if spec.name not in states]
+        if self._started and missing:
+            # A gather hole that recovery did not explain: fail loudly
+            # rather than serve a fork that silently restarted from
+            # scratch.
+            raise EngineError(
+                f"no live state could be gathered for estimator "
+                f"{missing[0]!r} (its worker may have been lost "
+                "mid-gather); retry the query or restore a checkpoint"
+            )
         stream = self._journal.freeze_stream()
         results: Dict[str, Any] = {}
         for spec in selected:
-            fork = spec.build(stream)
+            # The fork resumes the live pass 0, closes it, and runs its
+            # remaining passes over the frozen journal.  One fork at a
+            # time: only one fork's pass state is ever resident.
+            fork = InlineTransport([spec.build(stream)])
             if self._started:
-                state = states.get(spec.name)
-                if state is None:
-                    # A gather hole that recovery did not explain: fail
-                    # loudly rather than serve a fork that silently
-                    # restarted from scratch.
-                    raise EngineError(
-                        f"no live state could be gathered for estimator "
-                        f"{spec.name!r} (its worker may have been lost "
-                        "mid-gather); retry the query or restore a "
-                        "checkpoint"
-                    )
-                fork.load_state_dict(state)
-                if fork.wants_pass():
-                    fork.end_pass()
-            results[spec.name] = self._complete(fork, stream)
+                fork.load(states)
+                fork.end()
+            results.update(run_passes(fork, [stream], self._batch_size).results)
         return results
 
     def _select(self, names: Optional[Sequence[str]]) -> List[EstimatorSpec]:
         if names is None:
-            alive = self._alive_specs()
-            if not alive:
-                raise EngineError(
-                    "every registered estimator was lost with its worker "
-                    f"(lost: {', '.join(self.lost_estimators)}); no "
-                    "estimates survive — restore a checkpoint taken "
-                    "before the losses or open a fresh engine"
-                )
-            return alive
+            return self._alive_specs()
         selected = []
         for name in names:
             if name not in self._spec_names:
@@ -1328,27 +1160,7 @@ class LiveEngine:
             selected.append(self._spec_names[name])
         return selected
 
-    def _complete(self, estimator, stream) -> Any:
-        """Drive a fork through its remaining passes over *stream*."""
-        passes = 0
-        while estimator.wants_pass():
-            estimator.begin_pass(passes)
-            for batch in pass_batches(stream, self._batch_size):
-                estimator.ingest_batch(batch)
-            estimator.end_pass()
-            passes += 1
-        return estimator.result()
-
     # -- checkpointing ----------------------------------------------------
-
-    def _check_snapshot_allowed(self) -> None:
-        if self._closed:
-            raise EngineError("live engine is closed")
-        if self._feeding:
-            raise CheckpointError(
-                "cannot snapshot mid-batch: a feed() is still in flight; "
-                "snapshot between feed calls"
-            )
 
     def snapshot(
         self,
@@ -1378,7 +1190,12 @@ class LiveEngine:
             )
         if max_deltas < 1:
             raise CheckpointError(f"max_deltas must be >= 1, got {max_deltas}")
-        self._check_snapshot_allowed()
+        self._check_open()
+        if self._feeding:
+            raise CheckpointError(
+                "cannot snapshot mid-batch: a feed() is still in flight; "
+                "snapshot between feed calls"
+            )
         path = os.fspath(path)
         if mode == "delta":
             chain = self._delta_chains.get(path)
@@ -1397,7 +1214,7 @@ class LiveEngine:
         return self._snapshot_full(path)
 
     def _snapshot_full(self, path: str) -> str:
-        states = self._gather_states() if self._started else {}
+        states = self._transport.states() if self._started else {}
         u, v, delta = self._journal.columns()
         sections = [
             (
@@ -1500,35 +1317,15 @@ class LiveEngine:
         :class:`~repro.errors.CheckpointError` without running it.
         """
         path = os.fspath(path)
-        version, sections, base_crc = _read_container(path)
-        if version == 1:
-            document = sections["document"]
-            if not isinstance(document, dict):
-                raise CheckpointError(
-                    f"{path!r}: checkpoint document is not a mapping"
-                )
-            if document.get("format") != _FORMAT_FULL:
-                raise CheckpointError(f"{path!r}: unknown checkpoint format")
-            doc_version = document.get("version")
-            if doc_version != 1:
-                raise CheckpointError(
-                    f"{path!r}: checkpoint version {doc_version!r} is not "
-                    f"supported (this build reads versions 1 and "
-                    f"{CHECKPOINT_VERSION})"
-                )
-        else:
-            document = dict(sections)
-            engine_section = document.get("engine")
-            if not isinstance(engine_section, dict) or (
-                engine_section.get("format") != _FORMAT_FULL
-            ):
-                raise CheckpointError(
-                    f"{path!r}: unknown checkpoint format (the engine "
-                    "section is missing or mislabeled — is this a delta "
-                    "file restored as a base?)"
-                )
+        _, document, base_crc = _read_container(path)
+        config = document.get("engine")
+        if not isinstance(config, dict) or config.get("format") != _FORMAT_FULL:
+            raise CheckpointError(
+                f"{path!r}: unknown checkpoint format (the engine "
+                "section is missing or mislabeled — is this a delta "
+                "file restored as a base?)"
+            )
         try:
-            config = document["engine"]
             journal = document["journal"]
             estimators = document["estimators"]
             engine = cls(
@@ -1540,8 +1337,7 @@ class LiveEngine:
                 start_method=start_method,
             )
             engine._lost_names = set(config.get("lost", ()))
-            if len(journal["u"]):
-                engine._journal.append(journal["u"], journal["v"], journal["delta"])
+            engine._journal.append(journal["u"], journal["v"], journal["delta"])
             states: Dict[str, Any] = {}
             for entry in estimators:
                 engine.register_spec(entry["spec"])
@@ -1568,7 +1364,6 @@ class LiveEngine:
         bookkeeping points the next delta snapshot at the bad index,
         so it gets overwritten).
         """
-        applied = 0
         dropped: List[str] = []
         index = 0
         while True:
@@ -1620,15 +1415,11 @@ class LiveEngine:
                     "at %d element(s)",
                     target,
                     error,
-                    applied,
+                    index,
                     self._journal.length,
                 )
-                probe = index
-                while os.path.exists(_delta_path(path, probe)):
-                    dropped.append(_delta_path(path, probe))
-                    probe += 1
+                dropped = _delta_chain(path, index)
                 break
-            applied += 1
             index += 1
         self._delta_chains[path] = {
             "base_crc": base_crc,
@@ -1637,7 +1428,7 @@ class LiveEngine:
         }
         return {
             "path": path,
-            "deltas_applied": applied,
+            "deltas_applied": index,
             "fell_back": bool(dropped),
             "dropped": dropped,
         }
@@ -1645,13 +1436,13 @@ class LiveEngine:
     # -- teardown ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release the worker pool (no-op for the serial backend)."""
+        """Release the transport (a no-op for the serial backend)."""
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(graceful=True)
-            self._pool = None
+        if self._transport is not None:
+            self._transport.close(graceful=True)
+            self._transport = None
 
     def __enter__(self) -> "LiveEngine":
         return self

@@ -19,8 +19,8 @@ module shards them across a pool of workers:
   registration order, so median-of-K and per-copy diagnostics are
   computed exactly as in the serial backend.
 
-Two pool flavours share one driver loop and one worker loop
-(:func:`_worker_main`):
+Two pool flavours share one worker loop (:func:`_worker_main`), driven
+by the pool transports of :mod:`repro.engine.scheduler`:
 
 ``backend="process"`` (:class:`_ProcessPool`)
     Workers are daemon processes.  Columnar batches travel through a
@@ -83,17 +83,18 @@ buffering the whole stream):
     (:mod:`repro.engine.live`): the driver persists every shard's
     specs *plus* these states, so a restored pool resumes exactly
     where the snapshot was taken.
-``("load_state", states, resume_active)``
+``("load_state", states)``
     Restore each shard estimator from ``states[name]`` (freshly built
-    estimators only).  With *resume_active* the worker re-derives its
-    active set from ``wants_pass()`` so mid-pass restores keep
-    receiving batches without a new ``begin_pass``.
+    estimators only).  The worker re-derives its active set from
+    ``wants_pass()``, so mid-pass restores keep receiving batches
+    without a new ``begin_pass``.
 ``("stop",)``
     Exit the worker loop.
 
 Worker → driver, over one shared reply queue, always tagged with the
-worker id: ``("ready", wid, wants_pass)`` after building its shard,
-``("pass_done", wid, wants_pass)`` after each pass, ``("results",
+worker id: ``("ready", wid, wanting)`` after building its shard,
+``("pass_done", wid, wanting)`` after each pass (*wanting*: the names
+of the shard's estimators that want another pass), ``("results",
 wid, mapping)``, and ``("error", wid, traceback)`` from any failure —
 the driver then terminates the pool and re-raises as
 :class:`~repro.errors.EngineError` with the worker's traceback.
@@ -114,12 +115,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.core import DEFAULT_BATCH_SIZE, EngineReport, apply_cache_policy
-from repro.errors import EngineError, StreamError, WorkerLossError
+from repro.engine.core import (
+    DEFAULT_BATCH_SIZE,
+    EngineBackend,
+    EngineReport,
+    check_engine_args,
+)
+from repro.errors import EngineError, WorkerLossError
 from repro.faults.plan import FaultPlan, WorkerKilled
 from repro.utils.retry import RetryPolicy, retry_call
 from repro.streams.batch import EdgeBatch, PACKED_ELEMENT_BYTES, pack_columns, unpack_columns
-from repro.streams.stream import EdgeStream, check_batch_size, pass_batches
+from repro.streams.stream import EdgeStream
 
 __all__ = [
     "StreamHandle",
@@ -171,8 +177,26 @@ SHM_ATTACH_RETRY = RetryPolicy(attempts=3, base_delay=0.01, max_delay=0.1)
 RESPAWN_RETRY = RetryPolicy(attempts=3, base_delay=0.05, max_delay=1.0)
 
 
+class MetadataStream:
+    """Stream surface of a metadata-only stand-in (``n``, ``length``, ...
+    come from the subclass): no passes of its own — whoever owns the real
+    stream counts them — and iteration refused with ``_refusal``."""
+
+    passes_used = 0
+    _refusal = "this stream carries metadata only and cannot be iterated"
+
+    def reset_pass_count(self) -> None:
+        """No-op: the owner of the real stream counts the passes."""
+
+    def updates(self):
+        raise EngineError(self._refusal)
+
+    def __len__(self) -> int:
+        return self.length
+
+
 @dataclass(frozen=True)
-class StreamHandle:
+class StreamHandle(MetadataStream):
     """Picklable metadata stub standing in for an :class:`EdgeStream`.
 
     Workers never see the stream contents (batches arrive over the
@@ -201,22 +225,10 @@ class StreamHandle:
             allows_deletions=stream.allows_deletions,
         )
 
-    @property
-    def passes_used(self) -> int:
-        """Always 0: the driver owns pass accounting in parallel mode."""
-        return 0
-
-    def reset_pass_count(self) -> None:
-        """No-op; the driver's real stream counts the fused passes."""
-
-    def updates(self):
-        raise EngineError(
-            "StreamHandle cannot be iterated: in the parallel backends the "
-            "driver owns the stream and publishes decoded batches to workers"
-        )
-
-    def __len__(self) -> int:
-        return self.length
+    _refusal = (
+        "StreamHandle cannot be iterated: in the parallel backends the "
+        "driver owns the stream and publishes decoded batches to workers"
+    )
 
 
 @dataclass(frozen=True)
@@ -342,6 +354,20 @@ def _attach_segment(name: str):
         return shared_memory.SharedMemory(name=name)
 
 
+def _close_segments(segments, unlink: bool) -> None:
+    """Close (and, for the creator, unlink) segments; never raises."""
+    for segment in segments:
+        try:
+            segment.close()
+        except BufferError:  # pragma: no cover - view still referenced
+            pass
+        if unlink:
+            try:
+                segment.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
+
+
 class _SegmentAttachments:
     """Worker-side cache of attached ring segments.
 
@@ -390,11 +416,7 @@ class _SegmentAttachments:
         # cannot be closed.
         self._segments = {}
         self._views = {}
-        for segment in segments:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - view still referenced
-                pass
+        _close_segments(segments, unlink=False)
 
 
 class _SharedBatchRing:
@@ -442,15 +464,7 @@ class _SharedBatchRing:
         self._views = []
         segments = self._segments
         self._segments = []
-        for segment in segments:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - view still referenced
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+        _close_segments(segments, unlink=True)
 
 
 def _worker_main(
@@ -480,52 +494,48 @@ def _worker_main(
         if fault_plan is not None:
             fault_plan.fire("worker.batch", worker=worker_id)
 
+    def wanting() -> List[str]:
+        return [e.name for e in estimators if e.wants_pass()]
+
     try:
         estimators = [spec.build(handle) for spec in specs]
         active: List[Any] = []
-        replies.put(("ready", worker_id, any(e.wants_pass() for e in estimators)))
+        replies.put(("ready", worker_id, wanting()))
         while True:
             message = commands.get()
             command = message[0]
-            if command == "batch":
-                batch = message[1]
+            if command in ("batch", "shm_batch"):
+                if command == "batch":
+                    batch = message[1]
+                else:
+                    batch = attachments.batch(*message[1:4])
                 batch_fault()
                 for estimator in active:
                     estimator.ingest_batch(batch)
-            elif command == "shm_batch":
-                _, name, capacity, length, seq = message
-                batch = attachments.batch(name, capacity, length)
-                batch_fault()
-                for estimator in active:
-                    estimator.ingest_batch(batch)
-                # The columns are copied out; the ack releases the slot
-                # for reuse (monotone per worker: seqs arrive in order).
-                with ack.get_lock():
-                    ack.value = seq
+                if command == "shm_batch":
+                    # The columns are copied out; the ack releases the
+                    # slot for reuse (monotone per worker: seqs arrive
+                    # in order).
+                    with ack.get_lock():
+                        ack.value = message[4]
             elif command == "begin_pass":
                 active = [e for e in estimators if e.wants_pass()]
                 for estimator in active:
                     estimator.begin_pass(message[1])
-            elif command == "end_pass":
+            elif command in ("end_pass", "adopt_answers"):
+                # adopt_answers is the scatter/merge close: the driver
+                # merged every shard's pass states and broadcasts the
+                # *global* answers; each replica discards its
+                # shard-partial answers and adopts these, keeping all
+                # replicas in randomness lockstep (see
+                # repro.engine.scheduler.ScatterPoolTransport).
                 for estimator in active:
-                    estimator.end_pass()
+                    if command == "end_pass":
+                        estimator.end_pass()
+                    else:
+                        estimator.end_pass_adopting(message[1][estimator.name])
                 active = []
-                replies.put(
-                    ("pass_done", worker_id, any(e.wants_pass() for e in estimators))
-                )
-            elif command == "adopt_answers":
-                # Scatter/merge close: the driver merged every shard's
-                # pass states and broadcasts the *global* answers; each
-                # replica discards its shard-partial answers and adopts
-                # these, keeping all replicas in randomness lockstep
-                # (see repro.engine.sharded.ShardedRunner).
-                payload = message[1]
-                for estimator in active:
-                    estimator.end_pass_adopting(payload[estimator.name])
-                active = []
-                replies.put(
-                    ("pass_done", worker_id, any(e.wants_pass() for e in estimators))
-                )
+                replies.put(("pass_done", worker_id, wanting()))
             elif command == "collect":
                 results = {e.name: e.result() for e in estimators}
                 replies.put(("results", worker_id, results))
@@ -533,19 +543,12 @@ def _worker_main(
                 states = {e.name: e.state_dict() for e in estimators}
                 replies.put(("state", worker_id, states))
             elif command == "load_state":
-                states = message[1]
                 for estimator in estimators:
-                    estimator.load_state_dict(states[estimator.name])
-                if message[2]:
-                    # Mid-pass restore: the loaded states carry open
-                    # passes, so batches must flow without a begin_pass.
-                    active = [e for e in estimators if e.wants_pass()]
-                else:
-                    # Fresh restore: a later begin_pass opens the pass.
-                    active = []
-                replies.put(
-                    ("loaded", worker_id, any(e.wants_pass() for e in estimators))
-                )
+                    estimator.load_state_dict(message[1][estimator.name])
+                # The loaded states carry open passes: batches flow
+                # without a begin_pass.
+                active = [e for e in estimators if e.wants_pass()]
+                replies.put(("loaded", worker_id, wanting()))
             elif command == "stop":
                 return
             else:  # pragma: no cover - driver never sends unknown commands
@@ -603,6 +606,8 @@ class _PoolBase:
         self.replies: Any = None
         self.commands: List[Any] = []
         self.processes: List[Any] = []
+        #: Process backend: per-worker shared ack counters (None for threads).
+        self.acks: List[Any] = []
         self.shards: List[List[EstimatorSpec]] = []
         #: Recovery policy: ``loss_handler(worker_ids)`` or None (raise).
         self.loss_handler: Optional[Callable[[List[int]], None]] = None
@@ -652,6 +657,35 @@ class _PoolBase:
             self._discarded.add(worker_id)
             self._reap(worker_id)
 
+    def _spawn(self, worker_id: int, shard: List[EstimatorSpec]) -> tuple:
+        """A new, unstarted ``(command queue, worker, ack)`` for *shard*."""
+        raise NotImplementedError
+
+    def _add(self, queue, worker, ack, shard: List[EstimatorSpec]) -> int:
+        self.commands.append(queue)
+        self.processes.append(worker)
+        self.acks.append(ack)
+        self.shards.append(shard)
+        return len(self.processes) - 1
+
+    def _launch(self, shards: Sequence[Sequence[EstimatorSpec]]) -> None:
+        """Spawn and start one worker per shard.
+
+        A partial startup (EAGAIN under process pressure, a spawn
+        pickling error) reaps whatever already launched instead of
+        leaking daemons blocked on ``commands.get()``.
+        """
+        for shard in shards:
+            self._add(*self._spawn(len(self.processes), list(shard)), list(shard))
+        try:
+            for worker in self.processes:
+                worker.start()
+        except BaseException:
+            for worker_id in range(len(self.processes)):
+                if self._alive(worker_id):
+                    self._reap(worker_id)
+            raise
+
     def respawn(self, worker_id: int) -> int:
         """Launch a fresh worker over *worker_id*'s shard; returns its id.
 
@@ -661,7 +695,19 @@ class _PoolBase:
         Launching retries transient spawn failures on a jittered
         exponential schedule (:data:`RESPAWN_RETRY`).
         """
-        raise NotImplementedError
+        shard = list(self.shards[worker_id])
+        new_id = len(self.processes)
+
+        def launch() -> tuple:
+            queue, worker, ack = self._spawn(new_id, shard)
+            worker.start()
+            return queue, worker, ack
+
+        spawned = retry_call(
+            launch, policy=RESPAWN_RETRY, seed=new_id,
+            label=f"respawn {self.kind} {new_id}",
+        )
+        return self._add(*spawned, shard)
 
     def _recover(self, loss: WorkerLossError) -> None:
         """Run the loss handler for *loss*, or re-raise it.
@@ -710,23 +756,43 @@ class _PoolBase:
                 self.commands[worker_id].put(message, timeout=1.0)
                 return True
             except queue_module.Full:
-                try:
-                    self.probe_failures()
-                except WorkerLossError as loss:
-                    self._recover(loss)
-                    deadline = time.monotonic() + self._timeout
-                    continue
-                if time.monotonic() > deadline:
-                    # The target is alive but not draining: wedged.
-                    self._recover(
-                        WorkerLossError(
-                            f"timed out after {self._timeout}s sending to "
-                            f"{self.kind} {worker_id} (command queue full; "
-                            "worker wedged)",
-                            worker_ids=[worker_id],
-                        )
-                    )
-                    deadline = time.monotonic() + self._timeout
+                # Alive but not draining past the deadline: wedged.
+                deadline = self._probe_stall(
+                    deadline,
+                    f"timed out after {self._timeout}s sending to "
+                    f"{self.kind} {worker_id} (command queue full; "
+                    "worker wedged)",
+                    [worker_id],
+                )
+
+    def _probe_stall(self, deadline: float, message: str, worker_ids) -> float:
+        """One probe while blocked; returns the (possibly renewed) deadline.
+
+        A loss anywhere in the pool is recovered (or raised); past
+        *deadline* the stalled *worker_ids* count as lost with
+        *message*.  Recovery renews the deadline.
+        """
+        try:
+            self.probe_failures()
+        except WorkerLossError as loss:
+            self._recover(loss)
+            return time.monotonic() + self._timeout
+        if time.monotonic() > deadline:
+            self._recover(WorkerLossError(message, worker_ids=worker_ids))
+            return time.monotonic() + self._timeout
+        return deadline
+
+    def _screen(self, reply: tuple) -> bool:
+        """Whether *reply* is live; a worker's error reply raises here.
+
+        Replies from discarded workers are stale (a wedged worker may
+        wake up long after being written off) and are dropped.
+        """
+        if reply[1] in self._discarded:
+            return False
+        if reply[0] == "error":
+            raise EngineError(f"{self.kind} {reply[1]} failed:\n{reply[2]}")
+        return True
 
     def probe_failures(self) -> None:
         """Raise if any worker reported an error or died silently.
@@ -746,11 +812,8 @@ class _PoolBase:
                 reply = self.replies.get_nowait()
             except queue_module.Empty:
                 break
-            if reply[1] in self._discarded:
-                continue
-            if reply[0] == "error":
-                raise EngineError(f"{self.kind} {reply[1]} failed:\n{reply[2]}")
-            self._stashed.append(reply)
+            if self._screen(reply):
+                self._stashed.append(reply)
         dead = [w for w in self.live_ids() if not self._alive(w)]
         if dead:
             grace = time.monotonic() + 1.0
@@ -759,13 +822,8 @@ class _PoolBase:
                     reply = self.replies.get(timeout=0.1)
                 except queue_module.Empty:
                     continue
-                if reply[1] in self._discarded:
-                    continue
-                if reply[0] == "error":
-                    raise EngineError(
-                        f"{self.kind} {reply[1]} failed:\n{reply[2]}"
-                    )
-                self._stashed.append(reply)
+                if self._screen(reply):
+                    self._stashed.append(reply)
             raise WorkerLossError(
                 f"{self.kind}(s) {dead} died without reporting an error "
                 "(command queue stalled)",
@@ -852,12 +910,8 @@ class _PoolBase:
                         outstanding -= self._discarded
                         deadline = time.monotonic() + self._timeout
                         continue
-                if reply[1] in self._discarded:
-                    continue  # stale reply from a written-off worker
-                if reply[0] == "error":
-                    raise EngineError(
-                        f"{self.kind} {reply[1]} failed:\n{reply[2]}"
-                    )
+                if not self._screen(reply):
+                    continue
                 if reply[0] != kind or reply[1] not in outstanding:
                     if self.loss_handler is None:
                         raise EngineError(
@@ -966,74 +1020,29 @@ class _ProcessPool(_PoolBase):
         #: Batches shipped through the ring (vs pickled fallbacks) —
         #: a white-box diagnostic for tests and benchmarks.
         self.shm_batches = 0
-        self.acks: List[Any] = []
         self.replies = context.Queue()
-        for worker_id, shard in enumerate(shards):
-            queue = context.Queue(COMMAND_QUEUE_DEPTH)
-            # One shared int64 per worker: the highest ring seq the
-            # worker has consumed.  Locked access on purpose — a torn
-            # read could release a slot early and corrupt a batch.
-            ack = context.Value("q", -1)
-            process = context.Process(
-                target=_worker_main,
-                args=(
-                    worker_id, list(shard), handle, queue, self.replies, ack,
-                    fault_plan,
-                ),
-                daemon=True,
-            )
-            self.commands.append(queue)
-            self.acks.append(ack)
-            self.processes.append(process)
-            self.shards.append(list(shard))
-        try:
-            for process in self.processes:
-                process.start()
-        except BaseException:
-            # Partial startup (EAGAIN under process pressure, spawn
-            # pickling error): reap whatever already launched instead
-            # of leaking daemons blocked on commands.get().
-            for process in self.processes:
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=5.0)
-            raise
+        self._launch(shards)
 
     # -- transport hooks --------------------------------------------------
+
+    def _spawn(self, worker_id: int, shard: List[EstimatorSpec]) -> tuple:
+        queue = self._context.Queue(COMMAND_QUEUE_DEPTH)
+        # One shared int64 per worker: the highest ring seq the worker
+        # has consumed.  Locked access on purpose — a torn read could
+        # release a slot early and corrupt a batch.
+        ack = self._context.Value("q", -1)
+        process = self._context.Process(
+            target=_worker_main,
+            args=(worker_id, shard, self._handle, queue, self.replies, ack,
+                  self._fault_plan),
+            daemon=True,
+        )
+        return queue, process, ack
 
     def _terminate(self, worker_id: int) -> None:
         process = self.processes[worker_id]
         if process.is_alive():
             process.terminate()
-
-    def respawn(self, worker_id: int) -> int:
-        """Launch a replacement process over *worker_id*'s shard."""
-        shard = list(self.shards[worker_id])
-        new_id = len(self.processes)
-
-        def launch():
-            queue = self._context.Queue(COMMAND_QUEUE_DEPTH)
-            ack = self._context.Value("q", -1)
-            process = self._context.Process(
-                target=_worker_main,
-                args=(
-                    new_id, list(shard), self._handle, queue, self.replies, ack,
-                    self._fault_plan,
-                ),
-                daemon=True,
-            )
-            process.start()
-            return queue, ack, process
-
-        queue, ack, process = retry_call(
-            launch, policy=RESPAWN_RETRY, seed=new_id,
-            label=f"respawn worker {new_id}",
-        )
-        self.commands.append(queue)
-        self.acks.append(ack)
-        self.processes.append(process)
-        self.shards.append(shard)
-        return new_id
 
     def _close_transport(self) -> None:
         if self._ring is not None:
@@ -1088,21 +1097,12 @@ class _ProcessPool(_PoolBase):
             if not pending:
                 self._ring.occupants[slot] = None
                 return
-            try:
-                self.probe_failures()
-            except WorkerLossError as loss:
-                self._recover(loss)
-                deadline = time.monotonic() + self._timeout
-                continue
-            if time.monotonic() > deadline:
-                self._recover(
-                    WorkerLossError(
-                        f"timed out after {self._timeout}s waiting for workers "
-                        f"{pending} to release shared batch #{seq}",
-                        worker_ids=pending,
-                    )
-                )
-                deadline = time.monotonic() + self._timeout
+            deadline = self._probe_stall(
+                deadline,
+                f"timed out after {self._timeout}s waiting for workers "
+                f"{pending} to release shared batch #{seq}",
+                pending,
+            )
             time.sleep(0.001)
 
     def publish_batch(self, worker_ids, batch) -> None:
@@ -1159,25 +1159,25 @@ class _ThreadPool(_PoolBase):
     ) -> None:
         super().__init__(timeout)
         import queue as queue_module
-        import threading
 
         self._handle = handle
         self._fault_plan = fault_plan
         self.replies = queue_module.Queue()
-        for worker_id, shard in enumerate(shards):
-            queue = queue_module.Queue(COMMAND_QUEUE_DEPTH)
-            thread = threading.Thread(
-                target=_worker_main,
-                args=(worker_id, list(shard), handle, queue, self.replies, None,
-                      fault_plan),
-                daemon=True,
-                name=f"repro-worker-{worker_id}",
-            )
-            self.commands.append(queue)
-            self.processes.append(thread)
-            self.shards.append(list(shard))
-        for thread in self.processes:
-            thread.start()
+        self._launch(shards)
+
+    def _spawn(self, worker_id: int, shard: List[EstimatorSpec]) -> tuple:
+        import queue as queue_module
+        import threading
+
+        queue = queue_module.Queue(COMMAND_QUEUE_DEPTH)
+        thread = threading.Thread(
+            target=_worker_main,
+            args=(worker_id, shard, self._handle, queue, self.replies, None,
+                  self._fault_plan),
+            daemon=True,
+            name=f"repro-worker-{worker_id}",
+        )
+        return queue, thread, None
 
     def _terminate(self, worker_id: int) -> None:
         """Threads cannot be killed; daemon threads die with the process."""
@@ -1190,36 +1190,6 @@ class _ThreadPool(_PoolBase):
         allocated but unread; discarded ids never receive new sends.
         """
 
-    def respawn(self, worker_id: int) -> int:
-        import queue as queue_module
-        import threading
-
-        shard = list(self.shards[worker_id])
-        new_id = len(self.processes)
-
-        def launch():
-            queue = queue_module.Queue(COMMAND_QUEUE_DEPTH)
-            thread = threading.Thread(
-                target=_worker_main,
-                args=(new_id, list(shard), self._handle, queue, self.replies,
-                      None, self._fault_plan),
-                daemon=True,
-                name=f"repro-worker-{new_id}",
-            )
-            thread.start()
-            return queue, thread
-
-        queue, thread = retry_call(
-            launch,
-            policy=RESPAWN_RETRY,
-            seed=new_id,
-            label=f"respawn thread worker {new_id}",
-        )
-        self.commands.append(queue)
-        self.processes.append(thread)
-        self.shards.append(shard)
-        return new_id
-
     def shutdown(self, graceful: bool) -> None:
         live = self.live_ids()
         if graceful:
@@ -1227,11 +1197,6 @@ class _ThreadPool(_PoolBase):
                 self._send_stop(worker_id)
         for worker_id in live:
             self.processes[worker_id].join(timeout=5.0)
-
-
-#: Backwards-compatible name for the process pool (the historical
-#: single-backend pool class).
-_WorkerPool = _ProcessPool
 
 
 def _make_context(start_method: Optional[str]):
@@ -1264,8 +1229,6 @@ def make_worker_pool(
     *fault_plan* ships a :class:`~repro.faults.FaultPlan` to every
     worker so drills can kill/wedge them at chosen batches.
     """
-    from repro.engine.core import EngineBackend
-
     if backend == EngineBackend.THREAD:
         return _ThreadPool(shards, handle, timeout, fault_plan=fault_plan)
     if backend == EngineBackend.PROCESS:
@@ -1325,111 +1288,30 @@ def run_parallel_engine(
     lost estimator names in ``lost``, and each surviving estimate is
     bit-identical to a run configured without the lost copies.
     """
-    from repro.engine.core import EngineBackend
+    from repro.engine.scheduler import make_transport, run_passes
 
     if backend not in (EngineBackend.PROCESS, EngineBackend.THREAD):
         raise EngineError(
             f"run_parallel_engine drives the parallel backends "
             f"{(EngineBackend.THREAD, EngineBackend.PROCESS)}, got {backend!r}"
         )
-    if on_worker_loss not in ("abort", "degrade"):
-        raise EngineError(
-            f"on_worker_loss must be 'abort' or 'degrade', got {on_worker_loss!r}"
-        )
+    batch_size = check_engine_args(batch_size, on_worker_loss=on_worker_loss)
     if not specs:
         raise EngineError("no estimator specs registered")
-    try:
-        batch_size = check_batch_size(batch_size)
-    except StreamError as error:
-        raise EngineError(str(error)) from error
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         raise EngineError(f"duplicate estimator names in specs: {names}")
-
-    pool_size = resolve_workers(workers, len(specs))
-    shards = [
-        [specs[i] for i in indices] for indices in shard_indices(len(specs), pool_size)
-    ]
-    handle = StreamHandle.of(stream)
-    apply_cache_policy(stream, cache)
-    if reset_pass_count:
-        stream.reset_pass_count()
-
-    pool = make_worker_pool(
+    transport = make_transport(
         backend,
-        shards,
-        handle,
-        reply_timeout,
+        specs,
+        stream,
+        workers=workers,
+        on_worker_loss=on_worker_loss,
+        timeout=reply_timeout,
         start_method=start_method,
         batch_capacity=batch_size,
         fault_plan=fault_plan,
     )
-    lost_workers: set = set()
-    if on_worker_loss == "degrade":
-        def quarantine(lost: List[int]) -> None:
-            pool.discard(lost)
-            lost_workers.update(lost)
-
-        pool.loss_handler = quarantine
-    graceful = False
-    try:
-        wants = pool.gather("ready", range(pool_size))
-        passes = 0
-        elements = 0
-        dispatches = 0
-        while True:
-            active = [
-                worker_id
-                for worker_id in pool.live_ids()
-                if wants.get(worker_id, False)
-            ]
-            if not active:
-                break
-            if max_passes and passes >= max_passes:
-                raise EngineError(
-                    f"workers {active} still want passes after "
-                    f"max_passes={max_passes}"
-                )
-            pool.broadcast(active, ("begin_pass", passes))
-            for batch in pass_batches(stream, batch_size):
-                elements += len(batch)
-                pool.publish_batch(active, batch)
-                dispatches += len(active)
-            pool.broadcast(active, ("end_pass",))
-            wants.update(pool.gather("pass_done", active))
-            passes += 1
-
-        collectors = pool.live_ids()
-        if not collectors:
-            raise EngineError(
-                f"all {pool_size} workers were lost "
-                f"(worker ids {sorted(lost_workers)}); no estimates survive"
-            )
-        pool.broadcast(collectors, ("collect",))
-        shard_results = pool.gather("results", collectors)
-        graceful = True
-    finally:
-        pool.shutdown(graceful)
-
-    lost_names = sorted(
-        {spec.name for worker_id in pool.discarded for spec in pool.shards[worker_id]}
-    )
-    results: Dict[str, Any] = {}
-    for payload in shard_results.values():
-        results.update(payload)
-    surviving = [name for name in names if name not in lost_names]
-    missing = [name for name in surviving if name not in results]
-    if missing:
-        raise EngineError(f"workers returned no result for {missing}")
-    if not surviving:  # pragma: no cover - guarded by the collectors check
-        raise EngineError("all estimator shards were lost; no estimates survive")
-    return EngineReport(
-        results={name: results[name] for name in surviving},
-        passes=passes,
-        elements=elements,
-        dispatches=dispatches,
-        batch_size=batch_size,
-        workers=pool_size,
-        degraded=bool(lost_names),
-        lost=tuple(lost_names),
+    return run_passes(
+        transport, [stream], batch_size, max_passes, cache, reset_pass_count
     )

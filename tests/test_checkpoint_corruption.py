@@ -7,8 +7,8 @@ mutations, trailing garbage — and asserts the contract from the
 robustness spec: a damaged checkpoint raises a
 :class:`~repro.errors.CheckpointError` naming what broke, **never** a
 raw ``EOFError``/``UnpicklingError`` and never a silently-wrong
-engine.  The legacy un-sectioned v1 layout keeps restoring, with the
-same typed-error surface.
+engine.  The legacy un-sectioned v1 layout is refused with a typed
+error before any of its bytes are unpickled.
 """
 
 import pickle
@@ -217,56 +217,62 @@ class TestStructuralValidation:
         assert first["offset"] == len(CHECKPOINT_MAGIC) + 16
 
 
+@pytest.fixture(scope="module")
+def v1_blob(pristine):
+    """The pristine checkpoint re-encoded in the legacy v1 layout."""
+    from repro.engine.live import _parse_container
+
+    _, sections = _parse_container(pristine[0], "v1")
+    document = {
+        "format": _FORMAT_FULL,
+        "version": 1,
+        "engine": sections["engine"],
+        "journal": sections["journal"],
+        "estimators": sections["estimators"],
+    }
+    return CHECKPOINT_MAGIC + pickle.dumps(document)
+
+
 class TestLegacyV1:
-    """The un-sectioned pickle-after-magic layout keeps restoring."""
+    """The un-sectioned pickle-after-magic layout is refused, typed and
+    unread: no v1 byte reaches the unpickler."""
 
-    def _v1_blob(self, pristine_blob, path_hint="v1"):
-        import io
+    REFUSAL = "legacy v1 layout no longer supported"
 
-        from repro.engine.live import _parse_container
+    @pytest.fixture
+    def no_unpickling(self, monkeypatch):
+        import repro.engine.live as live
 
-        _, sections = _parse_container(pristine_blob, path_hint)
-        document = {
-            "format": _FORMAT_FULL,
-            "version": 1,
-            "engine": sections["engine"],
-            "journal": sections["journal"],
-            "estimators": sections["estimators"],
-        }
-        return CHECKPOINT_MAGIC + pickle.dumps(document)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a v1 checkpoint reached the unpickler")
 
-    def test_v1_restores_bit_identical(self, pristine, tmp_path):
-        blob, _, expected = pristine
-        path = _damaged(tmp_path, self._v1_blob(blob), "legacy.ckpt")
-        engine = LiveEngine.restore(path)
-        assert {n: r.estimate for n, r in engine.estimate().items()} == expected
-        engine.close()
+        monkeypatch.setattr(live, "_CheckpointUnpickler", refuse)
 
-    def test_truncated_v1_is_typed(self, pristine, tmp_path):
-        blob, _, _ = pristine
-        path = _damaged(tmp_path, self._v1_blob(blob), "legacy.ckpt")
+    def test_v1_restore_is_refused(self, v1_blob, tmp_path, no_unpickling):
+        path = _damaged(tmp_path, v1_blob, "legacy.ckpt")
+        with pytest.raises(CheckpointError, match=self.REFUSAL):
+            LiveEngine.restore(path)
+
+    def test_v1_manifest_is_refused(self, v1_blob, tmp_path, no_unpickling):
+        path = _damaged(tmp_path, v1_blob, "legacy.ckpt")
+        with pytest.raises(CheckpointError, match=self.REFUSAL):
+            checkpoint_manifest(path)
+
+    def test_truncated_v1_is_refused(self, v1_blob, tmp_path, no_unpickling):
+        path = _damaged(tmp_path, v1_blob, "legacy.ckpt")
         truncate_file(path, -20)
-        with pytest.raises(CheckpointError, match="failed to deserialize"):
+        with pytest.raises(CheckpointError, match=self.REFUSAL):
             LiveEngine.restore(path)
 
-    def test_v1_non_mapping_document(self, tmp_path):
-        path = _damaged(tmp_path, CHECKPOINT_MAGIC + pickle.dumps([1, 2]),
-                        "legacy.ckpt")
-        with pytest.raises(CheckpointError, match="not a mapping"):
-            LiveEngine.restore(path)
-
-    def test_v1_wrong_format_marker(self, tmp_path):
-        document = {"format": "something-else", "version": 1}
+    @pytest.mark.parametrize("document", [
+        [1, 2],
+        {"format": "something-else", "version": 1},
+        {"format": _FORMAT_FULL, "version": 7},
+    ], ids=["non-mapping", "wrong-format", "wrong-document-version"])
+    def test_any_v1_document_is_refused(self, tmp_path, no_unpickling, document):
         path = _damaged(tmp_path, CHECKPOINT_MAGIC + pickle.dumps(document),
                         "legacy.ckpt")
-        with pytest.raises(CheckpointError, match="unknown checkpoint format"):
-            LiveEngine.restore(path)
-
-    def test_v1_wrong_document_version(self, tmp_path):
-        document = {"format": _FORMAT_FULL, "version": 7}
-        path = _damaged(tmp_path, CHECKPOINT_MAGIC + pickle.dumps(document),
-                        "legacy.ckpt")
-        with pytest.raises(CheckpointError, match="not supported"):
+        with pytest.raises(CheckpointError, match=self.REFUSAL):
             LiveEngine.restore(path)
 
 
@@ -331,7 +337,7 @@ class TestCraftedPayloads:
                     "engine": _payloads(marker)[kind]}
         path = _damaged(tmp_path, CHECKPOINT_MAGIC + pickle.dumps(document),
                         "crafted-v1.ckpt")
-        with pytest.raises(CheckpointError, match="not allowed"):
+        with pytest.raises(CheckpointError, match=TestLegacyV1.REFUSAL):
             LiveEngine.restore(path)
         assert not marker.exists()
 

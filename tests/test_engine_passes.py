@@ -7,6 +7,8 @@ Theorem 2 clique counter — measured by the stream's own pass counter,
 which only the engine's ``stream.updates()`` calls can advance.
 """
 
+import pytest
+
 from repro import (
     generators,
     insertion_stream,
@@ -14,14 +16,20 @@ from repro import (
 )
 from repro.baselines import ExactStreamEstimator, TriestEstimator
 from repro.engine import (
+    EngineBackend,
+    EstimatorSpec,
     FusionMode,
+    ShardedRunner,
     StreamEngine,
     count_subgraphs_insertion_only_fused,
     count_subgraphs_turnstile_fused,
     count_subgraphs_two_pass_fused,
     ers_clique_estimator,
     fgp_insertion_estimator,
+    fgp_turnstile_estimator,
 )
+from repro.errors import EngineError
+from repro.streams.datasets import stream_shard_views
 from repro.streams.generators import turnstile_churn_stream
 
 
@@ -124,3 +132,34 @@ def test_engine_reset_controls_pass_counter():
     engine.register(TriestEstimator(capacity=30, rng=13))
     engine.run()
     assert stream.passes_used == 2  # previous pass + the fused one
+
+
+@pytest.mark.parametrize("backend", EngineBackend._ALL)
+@pytest.mark.parametrize("driver", ["engine", "sharded"])
+def test_max_passes_names_the_estimators_still_wanting_passes(driver, backend):
+    """A 3-pass run capped at 2 passes fails naming its estimators —
+    the same guard and message whichever driver and backend runs it."""
+    graph = generators.gnp(24, 0.3, rng=1)
+    stream = turnstile_churn_stream(graph, churn_edges=10, rng=2)
+    specs = [
+        EstimatorSpec(
+            name=f"copy-{index}",
+            factory=fgp_turnstile_estimator,
+            kwargs=dict(pattern=patterns.triangle(), trials=4, rng=index,
+                        name=f"copy-{index}"),
+        )
+        for index in range(2)
+    ]
+    if driver == "engine":
+        runner = StreamEngine(stream, backend=backend, workers=2, max_passes=2)
+        for spec in specs:
+            runner.register_spec(spec)
+    else:
+        runner = ShardedRunner(stream_shard_views(stream, 2), backend=backend,
+                               workers=2, max_passes=2)
+        runner.register_many(specs)
+    with pytest.raises(EngineError) as info:
+        runner.run()
+    assert str(info.value) == (
+        "estimators still want passes after max_passes=2: copy-0, copy-1"
+    )

@@ -293,6 +293,50 @@ class TestShardedEndToEnd:
         )
         assert threaded.estimates == serial.estimates
 
+    def test_thread_scatter_under_switch_storm_is_bit_identical(self):
+        """More shards and feeder threads than CPUs, a GIL switch every
+        microsecond: the sharded run still equals the unsharded mirror
+        run bit for bit, and every feeder thread exits."""
+        import os
+        import sys
+        import threading
+
+        stream = _turnstile_fixture()
+        pattern = patterns.triangle()
+        shards = (os.cpu_count() or 1) + 2
+        reference = count_subgraphs_turnstile_fused(
+            stream, pattern, copies=3, trials=16, rng=21, mode=FusionMode.MIRROR
+        )
+        views = _hash_shards(stream, shards)
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = count_subgraphs_turnstile_sharded(
+                    views, pattern, copies=3, trials=16, rng=21,
+                    backend=EngineBackend.THREAD, workers=shards,
+                )
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                outcome["error"] = error
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            driver = threading.Thread(target=run, name="stress-driver", daemon=True)
+            driver.start()
+            driver.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not driver.is_alive(), "sharded thread run did not finish in time"
+        assert "error" not in outcome, outcome.get("error")
+        result = outcome["result"]
+        assert result.details["workers"] == shards
+        assert result.estimates == reference.estimates
+        feeders = [t for t in threading.enumerate() if t.name.startswith("shard-feeder")]
+        for feeder in feeders:
+            feeder.join(timeout=30)
+        assert not any(feeder.is_alive() for feeder in feeders)
+
     def test_process_backend_matches(self):
         stream = _turnstile_fixture()
         pattern = patterns.triangle()
